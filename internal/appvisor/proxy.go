@@ -268,12 +268,14 @@ func (p *Proxy) spawn() error {
 	p.mu.Lock()
 	p.stub = stub
 	p.mu.Unlock()
+	timeout := time.NewTimer(p.opts.RegisterTimeout)
+	defer timeout.Stop()
 	select {
 	case <-reg:
 		p.lastBeat.Store(time.Now().UnixNano())
 		p.stubUp.Store(true)
 		return nil
-	case <-time.After(p.opts.RegisterTimeout):
+	case <-timeout.C:
 		stub.Kill()
 		return fmt.Errorf("appvisor: stub for %q never registered", p.name)
 	}
@@ -651,6 +653,10 @@ func (p *Proxy) rpcToStub(d *datagram, timeout time.Duration) (*datagram, error)
 		cleanup()
 		return nil, err
 	}
+	// Stopped on return rather than time.After, which would keep one
+	// live timer per call for the whole timeout (see Stub.rpc).
+	expire := time.NewTimer(timeout)
+	defer expire.Stop()
 	select {
 	case reply, ok := <-w:
 		if !ok {
@@ -658,7 +664,7 @@ func (p *Proxy) rpcToStub(d *datagram, timeout time.Duration) (*datagram, error)
 		}
 		p.rpcLatency.ObserveSince(start)
 		return reply, nil
-	case <-time.After(timeout):
+	case <-expire.C:
 		cleanup()
 		p.rpcTimeouts.Inc()
 		return nil, fmt.Errorf("appvisor: stub call timed out after %v", timeout)

@@ -374,13 +374,18 @@ func (s *Stub) rpc(op uint8, dpid uint64, msg openflow.Message) (*datagram, erro
 		s.mu.Unlock()
 		return nil, err
 	}
+	// A stopped timer, not time.After: under go 1.22 timer semantics an
+	// unstopped timer stays live until it fires, one per RPC in flight
+	// over the last RequestTimeout.
+	timeout := time.NewTimer(s.opts.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case d, ok := <-w:
 		if !ok {
 			return nil, fmt.Errorf("appvisor: stub terminated mid-call")
 		}
 		return d, nil
-	case <-time.After(s.opts.RequestTimeout):
+	case <-timeout.C:
 		s.mu.Lock()
 		delete(s.waiters, id)
 		s.mu.Unlock()

@@ -606,3 +606,41 @@ func TestEchoLoopCleansPendingOnAllExits(t *testing.T) {
 		}
 	})
 }
+
+// TestSwitchHandleCloseRace closes one registered handle from the
+// disconnect path and the Stop path at the same moment, as a replica
+// cluster's KillLeader (which drops the leader's switch connections, so
+// each pump runs onDisconnect) and Stack.Close (Controller.Stop) do. A
+// check-then-close that is not atomic panics with "close of closed
+// channel" here; run it under -race.
+func TestSwitchHandleCloseRace(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		c := New(Config{})
+		ctrlSide, swSide := openflow.Pipe()
+		h := &swHandle{
+			c:        c,
+			conn:     ctrlSide,
+			ports:    make(map[uint16]openflow.PhyPort),
+			pending:  make(map[uint32]chan openflow.Message),
+			closedCh: make(chan struct{}),
+		}
+		h.dpid.Store(1)
+		c.mu.Lock()
+		c.switches[1] = h
+		c.mu.Unlock()
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; h.onDisconnect() }()
+		go func() { defer wg.Done(); <-start; c.Stop() }()
+		close(start)
+		wg.Wait()
+		swSide.Close()
+		select {
+		case <-h.closedCh:
+		default:
+			t.Fatal("handle still open after disconnect and Stop")
+		}
+	}
+}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +17,8 @@ type swHandle struct {
 	ports    map[uint16]openflow.PhyPort
 	pending  map[uint32]chan openflow.Message
 	closedCh chan struct{}
+
+	closeOnce sync.Once
 }
 
 // AttachSwitchConn performs the active (controller-side) handshake on
@@ -45,6 +48,8 @@ func (c *Controller) AttachSwitchConn(conn *openflow.Conn) error {
 	if err := conn.WriteMessage(&openflow.FeaturesRequest{BaseMsg: openflow.BaseMsg{Xid: xid}}); err != nil {
 		return fmt.Errorf("controller: features request: %w", err)
 	}
+	timeout := time.NewTimer(c.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case msg := <-ready:
 		fr, ok := msg.(*openflow.FeaturesReply)
@@ -69,7 +74,7 @@ func (c *Controller) AttachSwitchConn(conn *openflow.Conn) error {
 		return nil
 	case <-h.closedCh:
 		return fmt.Errorf("controller: switch closed during handshake")
-	case <-time.After(c.cfg.RequestTimeout):
+	case <-timeout.C:
 		conn.Close()
 		return fmt.Errorf("controller: handshake timeout")
 	}
@@ -157,15 +162,14 @@ func isReply(t openflow.Type) bool {
 	return false
 }
 
-// close tears the handle down, failing all pending waiters.
+// close tears the handle down, failing all pending waiters. The
+// disconnect path (pump → onDisconnect) and Controller.Stop may call it
+// at once, so it runs once.
 func (h *swHandle) close() {
-	select {
-	case <-h.closedCh:
-		return
-	default:
-	}
-	close(h.closedCh)
-	h.conn.Close()
+	h.closeOnce.Do(func() {
+		close(h.closedCh)
+		h.conn.Close()
+	})
 }
 
 // pump owns all reads from the switch connection, translating
@@ -363,13 +367,18 @@ func (c *Controller) requestWithWaiter(dpid uint64, msg openflow.Message) (openf
 		cleanup()
 		return nil, nil, err
 	}
+	// A stopped timer, not time.After: under go 1.22 timer semantics an
+	// unstopped timer stays live until it fires, so every stats request
+	// and barrier would pin one for the whole RequestTimeout.
+	timeout := time.NewTimer(c.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case reply, ok := <-waiter:
 		if !ok {
 			return nil, nil, fmt.Errorf("controller: switch %d disconnected mid-request", dpid)
 		}
 		return reply, waiter, nil
-	case <-time.After(c.cfg.RequestTimeout):
+	case <-timeout.C:
 		cleanup()
 		return nil, nil, fmt.Errorf("controller: request to switch %d timed out", dpid)
 	}
@@ -410,6 +419,8 @@ func (c *Controller) RequestStats(dpid uint64, req *openflow.StatsRequest) (*ope
 // awaitMore receives one additional multipart stats part from the
 // request's waiter channel.
 func (c *Controller) awaitMore(dpid uint64, waiter chan openflow.Message) (*openflow.StatsReply, error) {
+	timeout := time.NewTimer(c.cfg.RequestTimeout)
+	defer timeout.Stop()
 	select {
 	case reply, ok := <-waiter:
 		if !ok {
@@ -420,7 +431,7 @@ func (c *Controller) awaitMore(dpid uint64, waiter chan openflow.Message) (*open
 			return nil, fmt.Errorf("controller: multipart interrupted by %v", reply.Type())
 		}
 		return sr, nil
-	case <-time.After(c.cfg.RequestTimeout):
+	case <-timeout.C:
 		return nil, fmt.Errorf("controller: multipart stats from %d timed out", dpid)
 	}
 }

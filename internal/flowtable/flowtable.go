@@ -14,9 +14,10 @@
 package flowtable
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -266,17 +267,14 @@ func (t *Table) Apply(fm *openflow.FlowMod) ([]Removed, error) {
 
 	case openflow.FlowModModify, openflow.FlowModModifyStrict:
 		strict := fm.Command == openflow.FlowModModifyStrict
-		modified := false
-		for _, e := range t.entries {
-			if t.selects(e, &norm, fm.Priority, strict, openflow.PortNone) {
-				// Match and priority are untouched, so the index needs
-				// no maintenance here.
-				e.Actions = openflow.CopyActions(fm.Actions)
-				e.Cookie = fm.Cookie
-				modified = true
-			}
+		sel := t.selected(&norm, fm.Priority, strict, openflow.PortNone)
+		for _, e := range sel {
+			// Match and priority are untouched, so the index needs no
+			// maintenance here.
+			e.Actions = openflow.CopyActions(fm.Actions)
+			e.Cookie = fm.Cookie
 		}
-		if !modified {
+		if len(sel) == 0 {
 			// OpenFlow 1.0: a modify that matches nothing behaves as an add.
 			if t.maxSize > 0 && len(t.entries) >= t.maxSize {
 				return nil, ErrTableFull
@@ -298,13 +296,11 @@ func (t *Table) Apply(fm *openflow.FlowMod) ([]Removed, error) {
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := fm.Command == openflow.FlowModDeleteStrict
 		var removed []Removed
-		for k, e := range t.entries {
-			if t.selects(e, &norm, fm.Priority, strict, fm.OutPort) {
-				delete(t.entries, k)
-				t.index.remove(e)
-				e.materialize()
-				removed = append(removed, Removed{Entry: e, Reason: openflow.FlowRemovedDelete})
-			}
+		for _, e := range t.selected(&norm, fm.Priority, strict, fm.OutPort) {
+			delete(t.entries, e.key())
+			t.index.remove(e)
+			e.materialize()
+			removed = append(removed, Removed{Entry: e, Reason: openflow.FlowRemovedDelete})
 		}
 		return removed, nil
 
@@ -318,7 +314,7 @@ func (t *Table) Apply(fm *openflow.FlowMod) ([]Removed, error) {
 // non-strict requires the given match to subsume the entry. outPort,
 // when not PortNone, additionally requires an output action to that
 // port (delete only).
-func (t *Table) selects(e *Entry, m *openflow.Match, priority uint16, strict bool, outPort uint16) bool {
+func selects(e *Entry, m *openflow.Match, priority uint16, strict bool, outPort uint16) bool {
 	if strict {
 		if e.Match != *m || e.Priority != priority {
 			return false
@@ -326,19 +322,78 @@ func (t *Table) selects(e *Entry, m *openflow.Match, priority uint16, strict boo
 	} else if !m.Subsumes(&e.Match) {
 		return false
 	}
-	if outPort != openflow.PortNone {
-		found := false
-		for _, a := range e.Actions {
-			if o, ok := a.(*openflow.ActionOutput); ok && o.Port == outPort {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
+	return outputsTo(e, outPort)
+}
+
+// outputsTo reports whether the entry has an output action to port;
+// PortNone means no filter and is always satisfied.
+func outputsTo(e *Entry, port uint16) bool {
+	if port == openflow.PortNone {
+		return true
+	}
+	for _, a := range e.Actions {
+		if o, ok := a.(*openflow.ActionOutput); ok && o.Port == port {
+			return true
 		}
 	}
-	return true
+	return false
+}
+
+// selected returns the live entries that selects picks, in entryOrder.
+// norm must be normalized. A strict selection is one probe of the
+// strict-key map. A non-strict one with a fully exact match reads one
+// exact-index slot: such a match subsumes only entries with that very
+// match, and the slot holds all of them in descending priority. Neither
+// depends on the table's size; only a non-strict wildcard match scans.
+// Caller holds at least the read lock.
+func (t *Table) selected(norm *openflow.Match, priority uint16, strict bool, outPort uint16) []*Entry {
+	if strict {
+		if e := t.entries[flowKey{*norm, priority}]; e != nil && outputsTo(e, outPort) {
+			return []*Entry{e}
+		}
+		return nil
+	}
+	if packed, ok := norm.ExactFields(); ok {
+		var out []*Entry
+		for _, e := range t.index.exact[packed] {
+			if outputsTo(e, outPort) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	return t.selectLinear(norm, priority, strict, outPort)
+}
+
+// selectLinear is the scan-every-entry reference for selected, and its
+// path for non-strict wildcard matches. Caller holds at least the read
+// lock.
+func (t *Table) selectLinear(norm *openflow.Match, priority uint16, strict bool, outPort uint16) []*Entry {
+	var out []*Entry
+	for _, e := range t.entries {
+		if selects(e, norm, priority, strict, outPort) {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, entryOrder)
+	return out
+}
+
+// entryOrder is the order Entries, Select and MatchingEntries return:
+// descending priority, then ascending match string.
+func entryOrder(a, b *Entry) int {
+	if a.Priority != b.Priority {
+		return cmp.Compare(b.Priority, a.Priority)
+	}
+	return strings.Compare(a.tieKey, b.tieKey)
+}
+
+// cloneAll replaces each live entry in s with a deep copy, in place.
+func cloneAll(s []*Entry) []*Entry {
+	for i, e := range s {
+		s[i] = e.clone()
+	}
+	return s
 }
 
 // matchesOverlap approximates the OpenFlow overlap test: two matches
@@ -449,13 +504,20 @@ func (t *Table) Entries() []*Entry {
 		out = append(out, e.clone())
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].tieKey < out[j].tieKey
-	})
+	slices.SortFunc(out, entryOrder)
 	return out
+}
+
+// Select returns deep copies of the entries a FlowMod with this match,
+// priority, strictness and out_port (PortNone: no filter) would modify
+// or delete, in Entries order. It costs what the selection holds, not
+// the table: a strict select is one map probe. NetLog computes each
+// FlowMod's inverse with it.
+func (t *Table) Select(match *openflow.Match, priority uint16, strict bool, outPort uint16) []*Entry {
+	norm := match.Normalize()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return cloneAll(t.selected(&norm, priority, strict, outPort))
 }
 
 // InsertEntry installs a fully specified entry, preserving its counters
@@ -470,24 +532,10 @@ func (t *Table) InsertEntry(e *Entry) {
 }
 
 // MatchingEntries returns deep copies of entries selected by an
-// OpenFlow stats-request filter (non-strict match plus out-port).
+// OpenFlow stats-request filter (non-strict match plus out-port), in
+// Entries order. A fully exact filter reads one exact-index slot.
 func (t *Table) MatchingEntries(filter *openflow.Match, outPort uint16) []*Entry {
-	t.mu.RLock()
-	norm := filter.Normalize()
-	var out []*Entry
-	for _, e := range t.entries {
-		if t.selects(e, &norm, 0, false, outPort) {
-			out = append(out, e.clone())
-		}
-	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].tieKey < out[j].tieKey
-	})
-	return out
+	return t.Select(filter, 0, false, outPort)
 }
 
 // Fingerprint summarizes the table's rule state (matches, priorities,

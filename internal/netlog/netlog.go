@@ -365,11 +365,15 @@ func (m *Manager) Hook() controller.OutboundHook {
 			}
 		}
 
-		undo := m.computeUndo(sh, dpid, fm)
-		for i, e := range undo.restore {
-			if ls, ok := live[strictKey{e.Match, e.Priority}]; ok {
-				undo.restore[i].PacketCount = ls.PacketCount
-				undo.restore[i].ByteCount = ls.ByteCount
+		// Only a transactional write needs its inverse.
+		var undo undoOp
+		if active != nil {
+			undo = m.computeUndo(sh, dpid, fm)
+			for _, e := range undo.restore {
+				if ls, ok := live[strictKey{e.Match, e.Priority}]; ok {
+					e.PacketCount = ls.PacketCount
+					e.ByteCount = ls.ByteCount
+				}
 			}
 		}
 		if _, err := m.shadow(sh, dpid).Apply(fm); err != nil {
@@ -439,38 +443,26 @@ func (m *Manager) liveCounters(dpid uint64, fm *openflow.FlowMod) map[strictKey]
 	return out
 }
 
-// computeUndo derives the inverse of fm against the current shadow.
-// Caller holds the dpid's shard lock.
+// computeUndo derives the inverse of fm against the current shadow. It
+// copies only the entries fm selects (one map probe for an add or a
+// strict command), never the whole shadow. Caller holds the dpid's
+// shard lock.
 func (m *Manager) computeUndo(shd *netShard, dpid uint64, fm *openflow.FlowMod) undoOp {
 	sh := m.shadow(shd, dpid)
 	norm := fm.Match.Normalize()
 	op := undoOp{dpid: dpid}
 	switch fm.Command {
-	case openflow.FlowModAdd:
-		if prev := findStrict(sh, norm, fm.Priority); prev != nil {
-			op.restore = append(op.restore, prev)
-		} else {
+	case openflow.FlowModAdd, openflow.FlowModModify, openflow.FlowModModifyStrict:
+		// An add overwrites at most the entry under its strict key; a
+		// modify that selects nothing behaves as an add.
+		strict := fm.Command != openflow.FlowModModify
+		op.restore = sh.Select(&norm, fm.Priority, strict, openflow.PortNone)
+		if len(op.restore) == 0 {
 			op.remove = append(op.remove, strictKey{norm, fm.Priority})
-		}
-	case openflow.FlowModModify, openflow.FlowModModifyStrict:
-		strict := fm.Command == openflow.FlowModModifyStrict
-		affected := selectEntries(sh, norm, fm.Priority, strict)
-		if len(affected) == 0 {
-			// Behaves as an add.
-			op.remove = append(op.remove, strictKey{norm, fm.Priority})
-		} else {
-			op.restore = append(op.restore, affected...)
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := fm.Command == openflow.FlowModDeleteStrict
-		victims := selectEntries(sh, norm, fm.Priority, strict)
-		// out_port filtering must mirror the table's semantics.
-		for _, v := range victims {
-			if fm.OutPort != openflow.PortNone && !outputsTo(v, fm.OutPort) {
-				continue
-			}
-			op.restore = append(op.restore, v)
-		}
+		op.restore = sh.Select(&norm, fm.Priority, strict, fm.OutPort)
 	}
 	return op
 }
@@ -481,54 +473,15 @@ func (m *Manager) computeUndo(shd *netShard, dpid uint64, fm *openflow.FlowMod) 
 func (m *Manager) noteCounterEviction(sh *netShard, dpid uint64, fm *openflow.FlowMod) {
 	norm := fm.Match.Normalize()
 	switch fm.Command {
-	case openflow.FlowModAdd:
+	case openflow.FlowModAdd, openflow.FlowModDeleteStrict:
 		delete(sh.counters, counterKey{dpid, norm, fm.Priority})
-	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
+	case openflow.FlowModDelete:
 		for k := range sh.counters {
-			if k.dpid != dpid {
-				continue
-			}
-			if fm.Command == openflow.FlowModDeleteStrict {
-				if k.match == norm && k.priority == fm.Priority {
-					delete(sh.counters, k)
-				}
-			} else if norm.Subsumes(&k.match) {
+			if k.dpid == dpid && norm.Subsumes(&k.match) {
 				delete(sh.counters, k)
 			}
 		}
 	}
-}
-
-func findStrict(sh *flowtable.Table, norm openflow.Match, prio uint16) *flowtable.Entry {
-	for _, e := range sh.Entries() {
-		if e.Match == norm && e.Priority == prio {
-			return e
-		}
-	}
-	return nil
-}
-
-func selectEntries(sh *flowtable.Table, norm openflow.Match, prio uint16, strict bool) []*flowtable.Entry {
-	var out []*flowtable.Entry
-	for _, e := range sh.Entries() {
-		if strict {
-			if e.Match == norm && e.Priority == prio {
-				out = append(out, e)
-			}
-		} else if norm.Subsumes(&e.Match) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func outputsTo(e *flowtable.Entry, port uint16) bool {
-	for _, a := range e.Actions {
-		if o, ok := a.(*openflow.ActionOutput); ok && o.Port == port {
-			return true
-		}
-	}
-	return false
 }
 
 // Commit finalizes the transaction: barriers flush every touched switch

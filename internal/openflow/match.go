@@ -120,8 +120,12 @@ func maskFromBits(bits uint) uint32 {
 // Normalize canonicalizes m so that wildcarded fields are zeroed and the
 // CIDR mask widths are clamped to 32. Two normalized matches are
 // semantically identical iff they are ==, which lets flow tables use
-// Match values as map keys for "strict" rule identity.
+// Match values as map keys for "strict" rule identity. Wildcard bits
+// outside WildcardAll carry no meaning and are cleared, so a match that
+// constrains every field is exact (see ExactFields) exactly when
+// Subsumes treats it as constraining every field.
 func (m Match) Normalize() Match {
+	m.Wildcards &= WildcardAll
 	if m.Wildcards&WildcardInPort != 0 {
 		m.InPort = 0
 	}

@@ -74,6 +74,21 @@ func testCluster(t *testing.T, mode CommitMode) (*Cluster, *netsim.Network) {
 	return c, n
 }
 
+// journalHolders counts the replicas holding the leader's whole journal
+// (the leader itself included) and the majority a quorum commit needs.
+func journalHolders(c *Cluster) (holders, need int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	end := c.state.Journal.WAL().EndPos()
+	holders = 1
+	for _, nd := range c.nodes {
+		if nd.alive && nd != c.leader && c.acked[nd.name] >= end {
+			holders++
+		}
+	}
+	return holders, c.opts.Replicas/2 + 1
+}
+
 func injectN(t *testing.T, c *Cluster, count int) {
 	t.Helper()
 	stack := c.Stack()
@@ -104,10 +119,13 @@ func TestClusterKillLeaderFailover(t *testing.T) {
 	c, n := testCluster(t, CommitQuorum)
 	injectN(t, c, 6)
 
-	// Quorum commit: by the time each txn committed, followers held it.
-	if lag := c.ReplicationLag(); lag != 0 {
-		t.Fatalf("replication lag %d after quorum-committed workload", lag)
+	// Quorum commit: by the time each txn committed, a majority held it.
+	// With 3 replicas that is the leader and one follower, so the other
+	// follower may still lag here; it must catch up soon after.
+	if holders, need := journalHolders(c); holders < need {
+		t.Fatalf("%d of 3 replicas hold the quorum-committed journal, want >= %d", holders, need)
 	}
+	waitFor(t, "every follower to catch up", func() bool { return c.ReplicationLag() == 0 })
 
 	// Open a transaction, touch the switch, and die before resolution.
 	stack := c.Stack()
