@@ -37,7 +37,7 @@ import (
 
 	"legosdn/internal/chaos"
 	"legosdn/internal/experiments"
-	"legosdn/internal/trace"
+	"legosdn/internal/flightrec"
 )
 
 // index maps experiment ids to constructors, using full-run parameters.
@@ -164,14 +164,14 @@ func main() {
 		}))
 	}
 
-	var tracer *trace.Tracer
+	var flight *flightrec.Recorder
 	if *traceSample > 0 || *traceAddr != "" || *traceOut != "" {
-		tracer = trace.New(trace.Options{SampleRate: *traceSample})
-		experiments.SetTracer(tracer)
+		flight = flightrec.New(flightrec.Options{SampleRate: *traceSample})
+		experiments.SetFlight(flight)
 	}
 	if *traceAddr != "" {
 		go func() {
-			srv := &http.Server{Addr: *traceAddr, Handler: trace.NewDebugMux(tracer, nil)}
+			srv := &http.Server{Addr: *traceAddr, Handler: flightrec.NewDebugMux(flight, nil, nil)}
 			fmt.Printf("traces on http://%s/debug/traces\n", *traceAddr)
 			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "legosdn-bench: trace server: %v\n", err)
@@ -226,7 +226,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err == nil {
-			err = tracer.WriteChrome(f)
+			err = flight.WriteChrome(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -22,7 +22,7 @@ import (
 
 	"legosdn/internal/apps"
 	"legosdn/internal/appvisor"
-	"legosdn/internal/trace"
+	"legosdn/internal/flightrec"
 )
 
 func main() {
@@ -44,10 +44,10 @@ func main() {
 	// The stub always samples at 100%: the root decision was already
 	// made controller-side, and StartSpan only records events whose
 	// wire header carries a trace context.
-	tracer := trace.New(trace.Options{SampleRate: 1})
+	flight := flightrec.New(flightrec.Options{SampleRate: 1})
 	if *debugAddr != "" {
 		go func() {
-			srv := &http.Server{Addr: *debugAddr, Handler: trace.NewDebugMux(tracer, nil)}
+			srv := &http.Server{Addr: *debugAddr, Handler: flightrec.NewDebugMux(flight, nil, nil)}
 			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 				log.Printf("legosdn-stub: debug server: %v", err)
 			}
@@ -55,7 +55,7 @@ func main() {
 	}
 	stub, err := appvisor.StartStub(app, *proxyAddr, appvisor.StubOptions{
 		HeartbeatInterval: *heartbeat,
-		Tracer:            tracer,
+		Flight:            flight,
 	})
 	if err != nil {
 		log.Fatalf("legosdn-stub: %v", err)

@@ -26,12 +26,12 @@ import (
 	"legosdn/internal/core"
 	"legosdn/internal/crashpad"
 	"legosdn/internal/durable"
+	"legosdn/internal/flightrec"
 	"legosdn/internal/invariant"
 	"legosdn/internal/netsim"
 	"legosdn/internal/oftrace"
 	"legosdn/internal/openflow"
 	"legosdn/internal/status"
-	"legosdn/internal/trace"
 	"legosdn/internal/workload"
 )
 
@@ -44,12 +44,11 @@ func main() {
 	poison := flag.Int("poison", 6666, "TCP port whose traffic crashes the first app (0 disables)")
 	checkInv := flag.Bool("invariants", true, "run the invariant checkers after each event")
 	policyFile := flag.String("policy", "", "operator policy file (§3.3 policy language)")
-	statusAddr := flag.String("status", "", "serve the HTTP status API on this address (e.g. 127.0.0.1:8080)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics on this address (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "",
+		"serve the debug endpoint on this address (e.g. :9090): /metrics, /status, /tickets, /flows, /debug/traces, /debug/autopsy, /debug/pprof")
 	traceFile := flag.String("trace", "", "record all OpenFlow control traffic to this file")
 	traceSample := flag.Float64("trace-sample", 0.01,
 		"fraction of injected events to trace end-to-end (0 disables, 1 traces all)")
-	traceBuf := flag.Int("trace-buf", 0, "span ring-buffer capacity (0 = default)")
 	stateDir := flag.String("state-dir", "",
 		"durable state directory: checkpoints and the NetLog transaction journal persist here, and a restart rolls back any transaction a crash interrupted (empty = in-memory only)")
 	checkpointDelta := flag.Int("checkpoint-delta", 16,
@@ -91,7 +90,6 @@ func main() {
 		fmt.Printf("loaded operator policy from %s\n", *policyFile)
 	}
 
-	tracer := trace.New(trace.Options{SampleRate: *traceSample, BufferSize: *traceBuf})
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo}))
 
 	cfg := core.Config{
@@ -102,7 +100,7 @@ func main() {
 			fmt.Println(tk.Render())
 		},
 		Logf:   log.Printf,
-		Tracer: tracer,
+		Flight: flightrec.New(flightrec.Options{SampleRate: *traceSample}),
 		Logger: logger,
 	}
 	if *checkInv {
@@ -138,24 +136,13 @@ func main() {
 		oftrace.Attach(stack.Controller, tw)
 		fmt.Printf("recording control traffic to %s\n", *traceFile)
 	}
-	if *statusAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *statusAddr, Handler: status.Handler(stack, n)}
-			fmt.Printf("status API on http://%s/status\n", *statusAddr)
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("legosdn: status server: %v", err)
-			}
-		}()
-	}
 	if *metricsAddr != "" {
 		go func() {
-			mux := trace.NewDebugMux(tracer, stack.Metrics)
-			mux.Handle("/debug/autopsy", stack.Autopsies.HTTPHandler())
-			srv := &http.Server{Addr: *metricsAddr, Handler: mux}
-			fmt.Printf("metrics on http://%s/metrics, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
-				*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
+			srv := &http.Server{Addr: *metricsAddr, Handler: status.Handler(stack, n)}
+			fmt.Printf("metrics on http://%s/metrics, status on http://%s/status, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
+				*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
 			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("legosdn: metrics server: %v", err)
+				log.Printf("legosdn: debug server: %v", err)
 			}
 		}()
 	}

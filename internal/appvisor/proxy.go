@@ -12,7 +12,6 @@ import (
 	"legosdn/internal/flightrec"
 	"legosdn/internal/metrics"
 	"legosdn/internal/openflow"
-	"legosdn/internal/trace"
 )
 
 // CrashReason classifies how the proxy learned of an app crash.
@@ -109,12 +108,11 @@ type ProxyOptions struct {
 	// round-trip latency, timeouts, heartbeat gaps, crashes by reason)
 	// labeled with the app name.
 	Metrics *metrics.Registry
-	// Tracer records the proxy-side relay span of each traced event's
-	// stub round trip. Nil disables.
-	Tracer *trace.Tracer
 	// Flight is the always-on flight recorder: stub lifecycle (crash
 	// detections, respawns, kills) leaves bounded structured records for
-	// autopsies. Never written on the per-event relay path. Nil no-ops.
+	// autopsies, never written on the per-event relay path. Traced
+	// events leave a proxy-side relay span of their stub round trip.
+	// Nil no-ops.
 	Flight *flightrec.Recorder
 }
 
@@ -384,7 +382,7 @@ func (p *Proxy) HandleEvent(_ controller.Context, ev controller.Event) error {
 
 	// The relay span covers encode → UDP → stub handler → ack; the stub
 	// opens its own child span from the wire-propagated context.
-	if sp := p.opts.Tracer.StartSpan(ev.Trace, "appvisor.relay"); sp != nil {
+	if sp := p.opts.Flight.StartSpan(ev.Trace, "appvisor.relay"); sp != nil {
 		sp.Attr("app", p.Name())
 		ev.Trace.SpanID = sp.Context().SpanID
 		defer sp.End()
@@ -433,7 +431,7 @@ func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) e
 	// One relay span for the whole batched round trip; each traced
 	// event is re-parented under it so stub-side handler spans nest
 	// correctly even when only some batch members are sampled.
-	if sp := p.opts.Tracer.StartSpan(evs[0].Trace, "appvisor.relay_batch"); sp != nil {
+	if sp := p.opts.Flight.StartSpan(evs[0].Trace, "appvisor.relay_batch"); sp != nil {
 		sp.Attr("app", p.Name()).AttrInt("batch", int64(len(evs)))
 		for i := range evs {
 			if evs[i].Trace.Valid() {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"legosdn/internal/controller"
+	"legosdn/internal/flightrec"
 	"legosdn/internal/openflow"
-	"legosdn/internal/trace"
 )
 
 // StubOptions tunes a Stub.
@@ -22,11 +22,11 @@ type StubOptions struct {
 	RequestTimeout time.Duration
 	// QueueSize bounds queued events (default 256).
 	QueueSize int
-	// Tracer records the stub-side handler span of each traced event.
+	// Flight records the stub-side handler span of each traced event.
 	// The span's parent arrives over the wire (wireVersion 3), so the
-	// stub — even as a separate process with its own Tracer — joins the
-	// trace its proxy started. Nil disables stub-side spans.
-	Tracer *trace.Tracer
+	// stub — even as a separate process with its own recorder — joins
+	// the trace its proxy started. Nil disables stub-side spans.
+	Flight *flightrec.Recorder
 	// WireFault, when set, intercepts the stub's event acknowledgments
 	// (dgEventDone) for fault injection: a dropped ack makes the proxy
 	// see a crash for an event the app in fact processed.
@@ -280,7 +280,7 @@ func (s *Stub) handleWork(w stubWork) {
 	var firstErr error
 	for i, ev := range w.evs {
 		var handlerErr error
-		sp := s.opts.Tracer.StartSpan(ev.Trace, "stub.handle")
+		sp := s.opts.Flight.StartSpan(ev.Trace, "stub.handle")
 		if sp != nil {
 			sp.Attr("app", s.app.Name())
 			ev.Trace.SpanID = sp.Context().SpanID

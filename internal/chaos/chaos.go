@@ -10,7 +10,6 @@ import (
 	"legosdn/internal/netlog"
 	"legosdn/internal/netsim"
 	"legosdn/internal/openflow"
-	"legosdn/internal/trace"
 )
 
 // Fault point names. Per-app points append "/<app>".
@@ -41,14 +40,11 @@ const (
 )
 
 // Injector binds a Schedule's decisions to the infrastructure layers'
-// fault hooks, and exports every fired fault through the existing
-// metrics and trace layers: a counter per point
-// (legosdn_chaos_faults_total{point=...}) and, when a tracer is
-// attached, a "chaos.fault" span per firing.
+// fault hooks, and exports every fired fault as a counter per point
+// (legosdn_chaos_faults_total{point=...}).
 type Injector struct {
-	sched  *Schedule
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	sched *Schedule
+	reg   *metrics.Registry
 
 	mu       sync.Mutex
 	counters map[string]*metrics.Counter
@@ -56,13 +52,12 @@ type Injector struct {
 	severed  map[uint64]bool
 }
 
-// NewInjector creates an injector drawing from sched. reg and tracer
-// may be nil (outcomes are then only tallied internally).
-func NewInjector(sched *Schedule, reg *metrics.Registry, tracer *trace.Tracer) *Injector {
+// NewInjector creates an injector drawing from sched. reg may be nil
+// (outcomes are then only tallied internally).
+func NewInjector(sched *Schedule, reg *metrics.Registry) *Injector {
 	return &Injector{
 		sched:    sched,
 		reg:      reg,
-		tracer:   tracer,
 		counters: make(map[string]*metrics.Counter),
 		fired:    make(map[string]int),
 		severed:  make(map[uint64]bool),
@@ -73,7 +68,7 @@ func NewInjector(sched *Schedule, reg *metrics.Registry, tracer *trace.Tracer) *
 func (inj *Injector) Schedule() *Schedule { return inj.sched }
 
 // Fire decides the named fault point at the given probability, and
-// when it fires, records the outcome in metrics and trace.
+// when it fires, records the outcome in metrics.
 func (inj *Injector) Fire(point string, prob float64) bool {
 	if prob <= 0 {
 		return false
@@ -98,14 +93,6 @@ func (inj *Injector) note(point string) {
 	inj.mu.Unlock()
 	if c != nil {
 		c.Inc()
-	}
-	if inj.tracer.Enabled() {
-		if sc := inj.tracer.Root(); sc.Valid() {
-			if sp := inj.tracer.StartSpan(sc, "chaos.fault"); sp != nil {
-				sp.Attr("point", point)
-				sp.End()
-			}
-		}
 	}
 }
 

@@ -186,7 +186,7 @@ func (sc Scenario) RunSchedule(sched *Schedule, reg *metrics.Registry) *Report {
 	if sc.Custom != nil {
 		return sc.Custom(sc, seed, reg)
 	}
-	inj := NewInjector(sched, reg, nil)
+	inj := NewInjector(sched, reg)
 
 	var n *netsim.Network
 	if sc.Switches > 1 {

@@ -23,7 +23,10 @@ func roundTrip(t *testing.T, base, target []byte) []byte {
 
 func TestDeltaRoundTripEdgeCases(t *testing.T) {
 	big := bytes.Repeat([]byte("abcdefgh"), 512)
-	cases := []struct{ name string; base, target []byte }{
+	cases := []struct {
+		name         string
+		base, target []byte
+	}{
 		{"both empty", nil, nil},
 		{"empty base", nil, []byte("fresh state")},
 		{"empty target", []byte("old state"), nil},

@@ -59,17 +59,15 @@ type Config struct {
 	// (dispatch latency, per-switch send latency, event counters) into
 	// the given registry. Nil leaves the latency histograms off.
 	Metrics *metrics.Registry
-	// Tracer samples injected events into traces and records dispatch
-	// and per-app delivery spans. Nil disables tracing at zero cost.
-	Tracer *trace.Tracer
 	// Logger, when set, receives structured diagnostics; log lines for
 	// traced events carry the trace id (wrap with trace.WrapHandler).
 	// Logf remains the plain-text fallback.
 	Logger *slog.Logger
 	// Flight is the always-on flight recorder: every dispatched event
 	// leaves one bounded record, so a crash autopsy can show the events
-	// leading up to the failure even when tracing sampled them out. Nil
-	// no-ops.
+	// leading up to the failure even when tracing sampled them out. It
+	// also samples injected events into traces and records dispatch and
+	// per-app delivery spans. Nil no-ops.
 	Flight *flightrec.Recorder
 	// Logf receives diagnostic output; nil silences it.
 	Logf func(format string, args ...any)
@@ -117,7 +115,7 @@ type queuedEvent struct {
 type evTracker struct {
 	c         *Controller
 	start     time.Time
-	span      *trace.Span // "controller.dispatch"; nil when untraced
+	span      *flightrec.Span // "controller.dispatch"; nil when untraced
 	remaining atomic.Int32
 }
 
@@ -469,8 +467,8 @@ func (c *Controller) snapshotApps() ([]*appEntry, AppRunner) {
 
 // startDispatchSpan opens the "controller.dispatch" span for a traced
 // event, annotated with what the event is. Nil for untraced events.
-func (c *Controller) startDispatchSpan(ev Event) *trace.Span {
-	sp := c.cfg.Tracer.StartSpan(ev.Trace, "controller.dispatch")
+func (c *Controller) startDispatchSpan(ev Event) *flightrec.Span {
+	sp := c.cfg.Flight.StartSpan(ev.Trace, "controller.dispatch")
 	if sp != nil {
 		sp.Attr("kind", ev.Kind.String()).
 			AttrInt("dpid", int64(ev.DPID)).
@@ -486,7 +484,7 @@ func (c *Controller) startDispatchSpan(ev Event) *trace.Span {
 // under the per-app delivery span is private to this delivery.
 func (c *Controller) deliver(e *appEntry, runner AppRunner, ev Event) {
 	e.events.Add(1)
-	if sp := c.cfg.Tracer.StartSpan(ev.Trace, "controller.deliver"); sp != nil {
+	if sp := c.cfg.Flight.StartSpan(ev.Trace, "controller.deliver"); sp != nil {
 		sp.Attr("app", e.app.Name())
 		ev.Trace.SpanID = sp.Context().SpanID
 		defer sp.End()
@@ -631,10 +629,10 @@ func (c *Controller) deliverBatch(e *appEntry, batch []queuedEvent) {
 	_, appOK := e.app.(BatchApp)
 	if len(batch) > 1 && runnerOK && appOK && !e.disabled.Load() {
 		evs := make([]Event, len(batch))
-		var spans []*trace.Span
+		var spans []*flightrec.Span
 		for i, qe := range batch {
 			evs[i] = qe.ev
-			if sp := c.cfg.Tracer.StartSpan(qe.ev.Trace, "controller.deliver"); sp != nil {
+			if sp := c.cfg.Flight.StartSpan(qe.ev.Trace, "controller.deliver"); sp != nil {
 				sp.Attr("app", e.app.Name()).AttrInt("batch", int64(len(batch)))
 				evs[i].Trace.SpanID = sp.Context().SpanID
 				spans = append(spans, sp)
@@ -672,7 +670,7 @@ func (c *Controller) Inject(ev Event) error {
 	if !ev.Trace.Valid() {
 		// The sampling decision for the whole pipeline happens here,
 		// once per event. Replayed events keep their original trace.
-		ev.Trace = c.cfg.Tracer.Root()
+		ev.Trace = c.cfg.Flight.Root()
 	}
 	select {
 	case c.events <- ev:
@@ -693,7 +691,7 @@ func (c *Controller) InjectSync(ev Event) error {
 		ev.Seq = c.seq.Add(1)
 	}
 	if !ev.Trace.Valid() {
-		ev.Trace = c.cfg.Tracer.Root()
+		ev.Trace = c.cfg.Flight.Root()
 	}
 	c.dispatchOne(ev)
 	return nil

@@ -122,19 +122,17 @@ type Config struct {
 	// Metrics is the registry every layer reports into; nil allocates a
 	// private one (exposed as Stack.Metrics).
 	Metrics *metrics.Registry
-	// Tracer samples injected events into end-to-end traces spanning
-	// controller dispatch, AppVisor round trips, NetLog transactions and
-	// Crash-Pad recovery. Nil disables tracing; disabled tracing costs
-	// one nil check per stage.
-	Tracer *trace.Tracer
 	// Logger receives structured diagnostics from every layer; it is
 	// wrapped with trace.WrapHandler so log lines carried by traced
 	// events include the trace id. Nil disables structured logging.
 	Logger *slog.Logger
 	// Flight is the always-on crash flight recorder shared by every
-	// layer. Unlike Tracer it cannot be disabled: nil allocates one with
-	// default ring sizes, so the last moments before a crash are always
-	// available to autopsy reports (exposed as Stack.Flight).
+	// layer. It cannot be disabled: nil allocates one with default ring
+	// sizes and sampling off, so the last moments before a crash are
+	// always available to autopsy reports (exposed as Stack.Flight). Its
+	// SampleRate traces injected events end to end across controller
+	// dispatch, AppVisor round trips, NetLog transactions and Crash-Pad
+	// recovery; with sampling off each stage costs one branch.
 	Flight *flightrec.Recorder
 	// AutopsyDir persists autopsy reports as JSON files. Empty defaults
 	// to <Durable dir>/autopsies when Durable is set, else autopsies
@@ -204,7 +202,6 @@ func NewStack(cfg Config) *Stack {
 		proxies:   make(map[string]*appvisor.Proxy),
 		replicas:  make(map[string]func() controller.App),
 	}
-	cfg.Tracer.Instrument(cfg.Metrics)
 	RegisterBuildInfo(cfg.Metrics)
 	if cfg.Durable != nil {
 		cfg.Durable.Instrument(cfg.Metrics)
@@ -212,7 +209,7 @@ func NewStack(cfg Config) *Stack {
 
 	ctrlCfg := controller.Config{Logf: cfg.Logf, Metrics: cfg.Metrics,
 		Parallel: cfg.Parallel, BatchMax: cfg.BatchMax,
-		Tracer: cfg.Tracer, Logger: cfg.Logger, Flight: cfg.Flight}
+		Logger: cfg.Logger, Flight: cfg.Flight}
 	switch cfg.Mode {
 	case ModeMonolithic:
 		ctrlCfg.Monolithic = true
@@ -229,7 +226,6 @@ func NewStack(cfg Config) *Stack {
 		} else {
 			s.NetLog = netlog.NewManager(s.Controller, cfg.Clock)
 			s.NetLog.Instrument(cfg.Metrics)
-			s.NetLog.SetTracer(cfg.Tracer)
 			s.NetLog.SetFlight(cfg.Flight)
 			switch {
 			case cfg.Journal != nil:
@@ -249,7 +245,6 @@ func NewStack(cfg Config) *Stack {
 			OnTicket:          cfg.OnTicket,
 			OnNetworkShutdown: cfg.OnNetworkShutdown,
 			Metrics:           cfg.Metrics,
-			Tracer:            cfg.Tracer,
 			Logger:            cfg.Logger,
 			Flight:            cfg.Flight,
 			Autopsies:         autopsies,
@@ -287,10 +282,10 @@ func (s *Stack) AddApp(newApp func() controller.App) error {
 		s.Controller.Register(probe)
 		return nil
 	default:
-		// In-process stubs share the stack's tracer, so their handler
+		// In-process stubs share the stack's recorder, so their handler
 		// spans land in the same ring; subprocess stubs get their own
-		// tracer (cmd/legosdn-stub) joined by the wire-propagated ids.
-		factory := appvisor.InProcessFactory(newApp, appvisor.StubOptions{Tracer: s.cfg.Tracer})
+		// recorder (cmd/legosdn-stub) joined by the wire-propagated ids.
+		factory := appvisor.InProcessFactory(newApp, appvisor.StubOptions{Flight: s.cfg.Flight})
 		if s.cfg.StubBinary != "" {
 			factory = appvisor.SubprocessFactory(s.cfg.StubBinary, name)
 		}
@@ -299,7 +294,6 @@ func (s *Stack) AddApp(newApp func() controller.App) error {
 				EventTimeout:     s.cfg.EventTimeout,
 				HeartbeatTimeout: s.cfg.HeartbeatTimeout,
 				Metrics:          s.Metrics,
-				Tracer:           s.cfg.Tracer,
 				Flight:           s.cfg.Flight,
 			})
 		if err != nil {
@@ -406,7 +400,7 @@ func (s *Stack) recoverDurable() error {
 		App:  "controller",
 		Note: fmt.Sprintf("durable journal holds %d orphaned txn(s)", orphans),
 	})
-	sp := s.cfg.Tracer.StartSpan(s.cfg.Tracer.Root(), "durable.recover")
+	sp := s.cfg.Flight.StartSpan(s.cfg.Flight.Root(), "durable.recover")
 	tl.Enter(flightrec.PhaseRollback)
 	txns, mods, err := d.ReplayOrphans(s.Controller, time.Now())
 	tl.Enter(flightrec.PhaseResume)

@@ -17,7 +17,6 @@ import (
 	"legosdn/internal/metrics"
 	"legosdn/internal/netsim"
 	"legosdn/internal/openflow"
-	"legosdn/internal/trace"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -542,7 +541,6 @@ func TestStackMetricNamesUnique(t *testing.T) {
 	stack := NewStack(Config{
 		Mode:    ModeLegoSDN,
 		Metrics: reg,
-		Tracer:  trace.New(trace.Options{}),
 	})
 	defer stack.Close()
 	if err := stack.AddApp(newPortPoisonApp(6666)); err != nil {

@@ -4,13 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"legosdn/internal/flightrec"
 	"legosdn/internal/netsim"
-	"legosdn/internal/trace"
 )
 
 // findTraceWith returns the first trace containing a span with the
 // given name, or nil.
-func findTraceWith(traces []trace.Trace, name string) *trace.Trace {
+func findTraceWith(traces []flightrec.Trace, name string) *flightrec.Trace {
 	for i := range traces {
 		for _, sp := range traces[i].Spans {
 			if sp.Name == name {
@@ -21,7 +21,7 @@ func findTraceWith(traces []trace.Trace, name string) *trace.Trace {
 	return nil
 }
 
-func spanNames(tr *trace.Trace) map[string]int {
+func spanNames(tr *flightrec.Trace) map[string]int {
 	names := make(map[string]int)
 	for _, sp := range tr.Spans {
 		names[sp.Name]++
@@ -29,7 +29,7 @@ func spanNames(tr *trace.Trace) map[string]int {
 	return names
 }
 
-func spanAttr(sp trace.SpanRecord, key string) (string, bool) {
+func spanAttr(sp flightrec.Record, key string) (string, bool) {
 	for _, a := range sp.Attrs {
 		if a.Key == key {
 			return a.Value, true
@@ -45,10 +45,10 @@ func spanAttr(sp trace.SpanRecord, key string) (string, bool) {
 // trace via the ids carried in the wire header), the aborted NetLog
 // transaction, and Crash-Pad's restore and replay.
 func TestCrashRecoveryTrace(t *testing.T) {
-	tracer := trace.New(trace.Options{SampleRate: 1})
+	rec := flightrec.New(flightrec.Options{SampleRate: 1})
 	stack := NewStack(Config{
 		Mode:   ModeLegoSDN,
-		Tracer: tracer,
+		Flight: rec,
 		// A wide checkpoint interval so the crash arrives with a
 		// non-empty replay suffix: checkpoint before event 1, healthy
 		// events 2..n recorded, the poisoned event triggers a restore
@@ -76,9 +76,9 @@ func TestCrashRecoveryTrace(t *testing.T) {
 	// The poisoned event's trace is the one holding the NetLog abort.
 	// Span records land at End(), so poll until the full pipeline is
 	// visible in the ring.
-	var poisoned *trace.Trace
+	var poisoned *flightrec.Trace
 	waitFor(t, "complete crash-recovery trace", func() bool {
-		poisoned = findTraceWith(tracer.Traces(0), "netlog.abort")
+		poisoned = findTraceWith(rec.Traces(0), "netlog.abort")
 		if poisoned == nil {
 			return false
 		}
@@ -139,8 +139,9 @@ func TestCrashRecoveryTrace(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledIsInert: a nil tracer (the default) records
-// nothing and changes nothing — the whole pipeline runs untraced.
+// TestTracingDisabledIsInert: the default recorder (sampling off)
+// records no spans and changes nothing — the whole pipeline runs
+// untraced.
 func TestTracingDisabledIsInert(t *testing.T) {
 	stack := NewStack(Config{Mode: ModeLegoSDN})
 	defer stack.Close()
@@ -162,11 +163,11 @@ func TestTracingDisabledIsInert(t *testing.T) {
 	}
 }
 
-// TestZeroSamplingRecordsNothing: a live tracer at rate 0 must keep
-// the ring empty while events flow — the always-cheap guarantee.
+// TestZeroSamplingRecordsNothing: a live recorder at rate 0 must keep
+// the span ring empty while events flow — the always-cheap guarantee.
 func TestZeroSamplingRecordsNothing(t *testing.T) {
-	tracer := trace.New(trace.Options{SampleRate: 0})
-	stack := NewStack(Config{Mode: ModeLegoSDN, Tracer: tracer})
+	rec := flightrec.New(flightrec.Options{SampleRate: 0})
+	stack := NewStack(Config{Mode: ModeLegoSDN, Flight: rec})
 	defer stack.Close()
 	if err := stack.AddApp(newPortPoisonApp(6666)); err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestZeroSamplingRecordsNothing(t *testing.T) {
 	n.SendFromHost("h1", netsim.TCPFrame(h1, h2, 1, 80, nil))
 	waitFor(t, "delivery", func() bool { return h2.ReceivedCount() >= 1 })
 	time.Sleep(10 * time.Millisecond)
-	if got := len(tracer.Snapshot()); got != 0 {
-		t.Fatalf("rate-0 tracer recorded %d spans", got)
+	if got := len(rec.SpanRecords()); got != 0 {
+		t.Fatalf("rate-0 recorder recorded %d spans", got)
 	}
 }

@@ -81,19 +81,17 @@ type Options struct {
 	// checkpoint/restore/recovery duration histograms and per-outcome
 	// recovery counts.
 	Metrics *metrics.Registry
-	// Tracer records checkpoint/recover/restore/replay spans for traced
-	// events, with the recovery decision as span attributes. Nil disables.
-	Tracer *trace.Tracer
 	// Logger, when set, receives structured recovery diagnostics; lines
 	// for traced events carry the trace id (wrap with trace.WrapHandler).
 	Logger *slog.Logger
 	// Flight is the always-on flight recorder: crash detections, policy
 	// decisions, checkpoint puts/restores and replays become bounded
-	// structured records that autopsies correlate across layers. Nil
-	// no-ops.
+	// structured records that autopsies correlate across layers. Traced
+	// events also leave checkpoint/recover/restore/replay spans, with
+	// the recovery decision as span attributes. Nil no-ops.
 	Flight *flightrec.Recorder
 	// Autopsies, when set, receives an assembled autopsy report for
-	// every recovery: culprit event, policy decision, six-phase timeline
+	// every recovery: culprit event, policy decision, eight-phase timeline
 	// and the correlated flight records.
 	Autopsies *flightrec.Store
 	// Clock feeds recovery-phase timelines (default time.Now). Tests
@@ -140,7 +138,7 @@ type CrashPad struct {
 	restoreDur    *metrics.Histogram
 	recoveryDur   *metrics.Histogram
 	outcomeBy     [5]*metrics.Counter // indexed by Outcome
-	// phaseDur breaks recovery time into the six paper phases, one
+	// phaseDur breaks recovery time into the eight recovery phases, one
 	// labeled histogram per flightrec.Phase.
 	phaseDur [flightrec.NumPhases]*metrics.Histogram
 }
@@ -304,7 +302,7 @@ func (cp *CrashPad) recover(app controller.App, ctx controller.Context, ev contr
 	// The recovery span brackets the whole decision loop; finish() closes
 	// it with the chosen policy, decision and outcome as attributes. Its
 	// context parents the restore/replay spans below.
-	recSpan := cp.opts.Tracer.StartSpan(ev.Trace, "crashpad.recover")
+	recSpan := cp.opts.Flight.StartSpan(ev.Trace, "crashpad.recover")
 	recCtx := ev.Trace
 	decision := "ignored"
 	if recSpan != nil {
@@ -527,7 +525,7 @@ func (cp *CrashPad) restoreApp(app controller.App, ctx controller.Context, name 
 	if cp.restoreDur != nil {
 		defer cp.restoreDur.ObserveSince(time.Now())
 	}
-	if sp := cp.opts.Tracer.StartSpan(sc, "crashpad.restore"); sp != nil {
+	if sp := cp.opts.Flight.StartSpan(sc, "crashpad.restore"); sp != nil {
 		sp.Attr("app", name)
 		sc = sp.Context()
 		defer sp.End()
@@ -565,7 +563,7 @@ func (cp *CrashPad) restoreApp(app controller.App, ctx controller.Context, name 
 	for _, rev := range suffix {
 		// Replayed events run under the restore span, not their original
 		// trace: the replay belongs to this recovery's timeline.
-		rsp := cp.opts.Tracer.StartSpan(sc, "crashpad.replay")
+		rsp := cp.opts.Flight.StartSpan(sc, "crashpad.replay")
 		if rsp != nil {
 			rsp.AttrInt("seq", int64(rev.Seq)).Attr("kind", rev.Kind.String())
 			rev.Trace = rsp.Context()
@@ -599,7 +597,7 @@ func (cp *CrashPad) maybeCheckpoint(app controller.App, name string, seq uint64,
 	if !cp.everyN.ShouldCheckpoint(name) {
 		return
 	}
-	if sp := cp.opts.Tracer.StartSpan(sc, "crashpad.checkpoint"); sp != nil {
+	if sp := cp.opts.Flight.StartSpan(sc, "crashpad.checkpoint"); sp != nil {
 		sp.Attr("app", name).AttrInt("seq", int64(seq))
 		defer sp.End()
 	}
@@ -616,7 +614,7 @@ func (cp *CrashPad) maybeCheckpoint(app controller.App, name string, seq uint64,
 	cp.opts.Store.Put(name, seq, state)
 	cp.opts.Flight.Record(flightrec.Record{
 		Layer: flightrec.LayerCheckpoint, Kind: flightrec.KindCheckpointPut,
-		App: name, Trace: sc.TraceID, EvSeq: seq, N: int64(len(state)),
+		App: name, Trace: sc.TraceID, EvSeq: seq, N: int32(len(state)),
 	})
 	cp.mu.Lock()
 	cp.replays[name] = nil
@@ -679,7 +677,7 @@ func (cp *CrashPad) rebaseline(app controller.App, name string, seq uint64) {
 	cp.opts.Store.Put(name, seq, state)
 	cp.opts.Flight.Record(flightrec.Record{
 		Layer: flightrec.LayerCheckpoint, Kind: flightrec.KindCheckpointPut,
-		App: name, EvSeq: seq, N: int64(len(state)),
+		App: name, EvSeq: seq, N: int32(len(state)),
 		Note: "rebaseline",
 	})
 	cp.mu.Lock()

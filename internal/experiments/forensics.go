@@ -123,7 +123,6 @@ func ClaimRecoveryForensics(quick bool) Table {
 			CheckpointEvery: 4,
 			Policies:        crashpad.NewPolicySet(cell.policy),
 			Metrics:         reg,
-			Tracer:          benchTracer,
 			AutopsyDir:      dir,
 			OnTicket:        func(tk *crashpad.Ticket) { tickets = append(tickets, tk) },
 		}

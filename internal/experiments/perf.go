@@ -74,7 +74,7 @@ func ClaimThroughput(quick bool) Table {
 		var c *controller.Controller
 		var closer func()
 		if isolated {
-			stack := core.NewStack(core.Config{Mode: core.ModeIsolated, Parallel: parallel, Tracer: benchTracer})
+			stack := core.NewStack(core.Config{Mode: core.ModeIsolated, Parallel: parallel, Flight: benchFlight})
 			for i := 0; i < apps; i++ {
 				i := i
 				if err := stack.AddApp(func() controller.App { return mk(i) }); err != nil {
@@ -83,7 +83,7 @@ func ClaimThroughput(quick bool) Table {
 			}
 			c, closer = stack.Controller, stack.Close
 		} else {
-			c = controller.New(controller.Config{Parallel: parallel, Tracer: benchTracer})
+			c = controller.New(controller.Config{Parallel: parallel, Flight: benchFlight})
 			for i := 0; i < apps; i++ {
 				c.Register(mk(i))
 			}

@@ -187,7 +187,7 @@ func ClaimScale(quick bool) Table {
 		var handled atomic.Uint64
 		stack := core.NewStack(core.Config{
 			Mode: core.ModeIsolated, Parallel: parallel, BatchMax: 64,
-			Metrics: reg, Tracer: benchTracer,
+			Metrics: reg, Flight: benchFlight,
 		})
 		for i := 0; i < apps; i++ {
 			i := i

@@ -1,15 +1,17 @@
 package experiments
 
-import "legosdn/internal/trace"
+import "legosdn/internal/flightrec"
 
-// benchTracer, when set, is threaded into the stacks and controllers
-// built by the perf experiments so their event pipelines emit spans.
-// Package-level because the experiment constructors (the Table
-// functions) are called through a uniform signature from
-// cmd/legosdn-bench and bench_test.go.
-var benchTracer *trace.Tracer
+// benchFlight, when set, is the flight recorder shared by the stacks
+// and controllers the perf and scale experiments (P1, P2) build, so
+// their event pipelines emit spans into one span ring. Package-level
+// because the experiment constructors (the Table functions) are called
+// through a uniform signature from cmd/legosdn-bench and bench_test.go.
+// Other experiments keep one recorder per stack: autopsies correlate
+// by transaction id, and each stack numbers transactions from 1.
+var benchFlight *flightrec.Recorder
 
-// SetTracer installs (or, with nil, removes) the tracer used by the
-// perf experiments. Call before running experiments; not safe to swap
-// while one is in flight.
-func SetTracer(t *trace.Tracer) { benchTracer = t }
+// SetFlight installs (or, with nil, removes) the recorder shared by the
+// perf and scale experiments. Call before running experiments; not
+// safe to swap while one is in flight.
+func SetFlight(r *flightrec.Recorder) { benchFlight = r }

@@ -27,7 +27,7 @@ type Autopsy struct {
 	Violations     []string `json:"violations,omitempty"`
 	Notes          []string `json:"notes,omitempty"`
 
-	// Timeline always holds all six recovery phases in canonical order.
+	// Timeline always holds all eight recovery phases in canonical order.
 	Timeline        []PhaseDuration `json:"timeline"`
 	RecoverySeconds float64         `json:"recovery_seconds"`
 

@@ -1,25 +1,30 @@
-// Package flightrec is LegoSDN's always-on flight recorder: bounded,
-// lock-free ring buffers of compact structured records written
-// unconditionally by every layer of the control loop. Where
-// internal/trace samples a fraction of events into spans, the flight
-// recorder keeps the last few thousand facts per layer for *every*
-// event — cheap enough to leave on in production — so that when an app
-// crashes, a recovery runs, or a chaos invariant breaks, the stack can
-// assemble an autopsy from evidence that already exists instead of
-// hoping the failure replays under higher sampling.
+// Package flightrec is LegoSDN's one event-record pipeline: bounded,
+// lock-free ring buffers of compact structured records. Every layer of
+// the control loop writes evidence records unconditionally — cheap
+// enough to leave on in production — so that when an app crashes, a
+// recovery runs, or a chaos invariant breaks, the stack can assemble an
+// autopsy from evidence that already exists instead of hoping the
+// failure replays under higher sampling. Sampled events additionally
+// leave spans for each stage they cross (controller dispatch, AppVisor
+// round trip, NetLog transaction, Crash-Pad recovery); completed spans
+// are records too, published to a ring of their own so that even 100%
+// sampling never overwrites crash evidence.
 //
 // Design constraints, in order:
 //
 //   - Always on, near-zero cost. One record is one atomic claim, one
-//     small allocation and one atomic pointer swap — the same
-//     publication scheme as trace's span rings, which the race
-//     detector certifies. No locks on the write path, ever.
+//     small allocation and one atomic pointer swap, which the race
+//     detector certifies. No locks on the write path, ever. With
+//     sampling off a span costs one branch and never allocates.
 //   - Bounded. Each layer owns a fixed power-of-two ring; the oldest
 //     record is overwritten when full. Memory is capacity * pointer
 //     per layer plus the live records themselves.
 //   - Correlatable. Records carry the app name, trace id, transaction
 //     id and event seq, so an autopsy can pull "the last N records per
 //     layer that touch this failure" without any global index.
+//   - Wire-propagatable. A span's position is a trace.SpanContext, two
+//     uint64s that ride AppVisor's event datagrams, so a stub process
+//     joins the trace its proxy started.
 package flightrec
 
 import (
@@ -117,20 +122,44 @@ func (k Kind) String() string {
 // Record is one compact fact. Zero-valued correlation fields mean "not
 // applicable"; App empty means the record belongs to no single app.
 type Record struct {
-	Seq   uint64 `json:"seq"`           // recorder-global order
-	TS    int64  `json:"ts_unix_nano"`  // wall-clock nanoseconds
-	Layer Layer  `json:"layer"`         // which ring
-	Kind  Kind   `json:"kind"`          // what happened
+	Seq   uint64 `json:"seq"`          // recorder-global order
+	TS    int64  `json:"ts_unix_nano"` // wall-clock nanoseconds
+	Layer Layer  `json:"layer"`        // which ring
+	Kind  Kind   `json:"kind"`         // what happened
+	// N is a kind-specific count (ops committed, txns replayed, ...).
+	// Hot-path writers use it instead of formatting a Note: a typed
+	// field costs nothing, fmt.Sprintf costs ~100ns and two allocs.
+	// 32 bits wide so it packs beside Layer and Kind.
+	N     int32  `json:"n,omitempty"`
 	App   string `json:"app,omitempty"` // owning app, if any
 	Trace uint64 `json:"trace,omitempty"`
 	Txn   uint64 `json:"txn,omitempty"`
 	EvSeq uint64 `json:"ev_seq,omitempty"`
 	DPID  uint64 `json:"dpid,omitempty"`
-	// N is a kind-specific count (ops committed, txns replayed, ...).
-	// Hot-path writers use it instead of formatting a Note: a typed
-	// field costs nothing, fmt.Sprintf costs ~100ns and two allocs.
-	N    int64  `json:"n,omitempty"`
-	Note string `json:"note,omitempty"`
+	Note  string `json:"note,omitempty"`
+
+	// SpanFields is set only on completed spans, whose TS is the span's
+	// start and Trace its trace id; nil on evidence records, so read
+	// its promoted fields (Span, Parent, Dur, Name, Attrs) only from
+	// SpanRecords and Traces. Behind a pointer, the span fields keep
+	// an evidence record a 96-byte allocation.
+	*SpanFields
+}
+
+// SpanFields is what a completed span adds to its Record.
+type SpanFields struct {
+	Span   uint64        `json:"span"`
+	Parent uint64        `json:"parent,omitempty"` // 0 at the trace root
+	Dur    time.Duration `json:"dur"`
+	Name   string        `json:"name"`
+	Attrs  []Attr        `json:"attrs,omitempty"`
+}
+
+// Attr is one key/value annotation on a span (recovery decision,
+// policy chosen, app name, transaction op count).
+type Attr struct {
+	Key   string `json:"key"`
+	Value string `json:"value"`
 }
 
 // String renders one record the way autopsy text does.
@@ -160,25 +189,50 @@ func (r Record) String() string {
 	return s
 }
 
-// ring is one layer's bounded record buffer: writers claim slot indexes
-// with next.Add and publish with an atomic pointer swap (the proven
-// race-clean scheme from internal/trace's span rings).
+// ring is one bounded record buffer: writers claim slot indexes with
+// next.Add and publish with an atomic pointer swap.
 type ring struct {
 	next  atomic.Uint64
 	slots []atomic.Pointer[Record]
 	mask  uint64
 }
 
+func (rg *ring) init(capacity int) {
+	rg.slots = make([]atomic.Pointer[Record], capacity)
+	rg.mask = uint64(capacity - 1)
+}
+
+// publish stores rec and reports whether it overwrote an older record.
 func (rg *ring) publish(rec *Record) bool {
 	idx := (rg.next.Add(1) - 1) & rg.mask
 	return rg.slots[idx].Swap(rec) != nil
 }
 
+// records copies every record the ring holds, in slot order.
+func (rg *ring) records() []Record {
+	out := make([]Record, 0, len(rg.slots))
+	for i := range rg.slots {
+		if rec := rg.slots[i].Load(); rec != nil {
+			out = append(out, *rec)
+		}
+	}
+	return out
+}
+
+// spanRingFactor sizes the span ring against one layer's ring: a
+// sampled event leaves a span per stage it crosses.
+const spanRingFactor = 8
+
 // Options tunes a Recorder.
 type Options struct {
 	// PerLayer is each layer's ring capacity, rounded up to a power of
-	// two (default 2048). Total memory is NumLayers * PerLayer slots.
+	// two (default 2048). Total memory is NumLayers * PerLayer slots,
+	// plus spanRingFactor * PerLayer span slots when sampling is on.
 	PerLayer int
+	// SampleRate is the fraction of events sampled into traces, in
+	// [0, 1]. 0 (the default) records no spans and keeps no span ring;
+	// 1 traces everything.
+	SampleRate float64
 }
 
 // Recorder is the flight recorder. A nil *Recorder is fully usable:
@@ -186,13 +240,22 @@ type Options struct {
 // one branch when it is absent.
 type Recorder struct {
 	rings [NumLayers]ring
+	spans ring // completed spans; no slots when sampling is off
 	seq   atomic.Uint64
 
-	// Records counts publishes; Laps counts ring overwrites (the
-	// recorder working as designed, but visible so a postmortem knows
-	// how far back the evidence reaches).
-	Records metrics.Counter
-	Laps    metrics.Counter
+	threshold uint64        // sample iff mix(counter) < threshold; ^0 = always
+	samples   atomic.Uint64 // root sampling counter (Weyl sequence state)
+	ids       atomic.Uint64 // id counter, mixed into unique span/trace ids
+	seed      uint64
+
+	// Records counts evidence publishes; Laps counts evidence-ring
+	// overwrites (the recorder working as designed, but visible so a
+	// postmortem knows how far back the evidence reaches). Spans and
+	// SpanLaps count the same for the span ring.
+	Records  metrics.Counter
+	Laps     metrics.Counter
+	Spans    metrics.Counter
+	SpanLaps metrics.Counter
 }
 
 // New creates a Recorder.
@@ -200,11 +263,19 @@ func New(opts Options) *Recorder {
 	if opts.PerLayer <= 0 {
 		opts.PerLayer = 2048
 	}
-	cap := ceilPow2(opts.PerLayer)
-	r := &Recorder{}
+	capacity := ceilPow2(opts.PerLayer)
+	r := &Recorder{seed: splitmix64(uint64(time.Now().UnixNano()))}
 	for i := range r.rings {
-		r.rings[i].slots = make([]atomic.Pointer[Record], cap)
-		r.rings[i].mask = uint64(cap - 1)
+		r.rings[i].init(capacity)
+	}
+	switch {
+	case opts.SampleRate >= 1:
+		r.threshold = ^uint64(0)
+	case opts.SampleRate > 0:
+		r.threshold = uint64(opts.SampleRate * float64(^uint64(0)))
+	}
+	if r.threshold != 0 {
+		r.spans.init(spanRingFactor * capacity)
 	}
 	return r
 }
@@ -218,6 +289,10 @@ func (r *Recorder) Instrument(reg *metrics.Registry) {
 		"flight-recorder records written across all layers", &r.Records)
 	reg.RegisterCounter("legosdn_flightrec_laps_total",
 		"flight-recorder slots overwritten by ring wrap-around", &r.Laps)
+	reg.RegisterCounter("legosdn_trace_spans_total",
+		"spans recorded into the span ring", &r.Spans)
+	reg.RegisterCounter("legosdn_trace_spans_dropped_total",
+		"span-ring slots overwritten by ring wrap-around", &r.SpanLaps)
 }
 
 // Record stamps rec with a global sequence number and wall-clock time
@@ -243,7 +318,7 @@ func (r *Recorder) Snapshot() []Record {
 	}
 	var out []Record
 	for l := range r.rings {
-		out = append(out, r.layerRecords(Layer(l))...)
+		out = append(out, r.rings[l].records()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -255,23 +330,12 @@ func (r *Recorder) LayerRecords(l Layer, n int) []Record {
 	if r == nil || l >= NumLayers {
 		return nil
 	}
-	recs := r.layerRecords(l)
+	recs := r.rings[l].records()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	if n > 0 && len(recs) > n {
 		recs = recs[len(recs)-n:]
 	}
 	return recs
-}
-
-func (r *Recorder) layerRecords(l Layer) []Record {
-	rg := &r.rings[l]
-	out := make([]Record, 0, len(rg.slots))
-	for i := range rg.slots {
-		if rec := rg.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	return out
 }
 
 // Correlated pulls the evidence for one failure: for each layer, the

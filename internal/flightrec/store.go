@@ -153,7 +153,7 @@ func (s *Store) HTTPHandler() http.Handler {
 			}
 			payload = []*Autopsy{a}
 		} else {
-			payload = s.All()
+			payload = append([]*Autopsy{}, s.All()...) // [] rather than null
 		}
 
 		if r.URL.Query().Get("format") == "json" {

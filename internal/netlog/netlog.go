@@ -104,7 +104,7 @@ type Txn struct {
 	// span is the "netlog.txn" lifecycle span for a traced transaction
 	// (nil otherwise); sc is its context, the parent of journal and
 	// abort child spans.
-	span *trace.Span
+	span *flightrec.Span
 	sc   trace.SpanContext
 
 	// traceID is the opening event's trace id, kept even for unsampled
@@ -152,7 +152,6 @@ type netShard struct {
 type Manager struct {
 	sender Sender
 	clock  flowtable.Clock
-	tracer *trace.Tracer
 	flight *flightrec.Recorder
 
 	// journal, when set, makes transactions crash-recoverable; see
@@ -202,18 +201,15 @@ func NewManager(sender Sender, clock flowtable.Clock) *Manager {
 	return m
 }
 
-// SetTracer wires the tracing layer in; nil disables transaction spans.
-func (m *Manager) SetTracer(t *trace.Tracer) { m.tracer = t }
-
 // SetJournal installs the durability journal. Must be called before
 // traffic flows (the field is read without synchronization on the hot
 // path); nil leaves transactions memory-only, the pre-durability
 // behavior.
 func (m *Manager) SetJournal(j Journal) { m.journal = j }
 
-// SetFlight installs the always-on flight recorder. Like SetJournal,
-// written once before traffic flows; nil leaves txn lifecycle
-// unrecorded.
+// SetFlight installs the always-on flight recorder, which also records
+// the spans of traced transactions. Like SetJournal, written once before
+// traffic flows; nil leaves txn lifecycle unrecorded.
 func (m *Manager) SetFlight(f *flightrec.Recorder) { m.flight = f }
 
 // journalAppend runs one journal write, absorbing errors into the
@@ -297,7 +293,7 @@ func (m *Manager) BeginTraced(sc trace.SpanContext) *Txn {
 	m.nextTxn++
 	m.BegunTxns.Add(1)
 	tx := &Txn{ID: m.nextTxn, m: m, dpids: make(map[uint64]bool), traceID: sc.TraceID}
-	if sp := m.tracer.StartSpan(sc, "netlog.txn"); sp != nil {
+	if sp := m.flight.StartSpan(sc, "netlog.txn"); sp != nil {
 		sp.AttrInt("txn", int64(tx.ID))
 		tx.span = sp
 		tx.sc = sp.Context()
@@ -357,9 +353,9 @@ func (m *Manager) Hook() controller.OutboundHook {
 
 		// Journal span: covers inverse computation and the journal
 		// append for one FlowMod of a traced transaction.
-		var jsp *trace.Span
+		var jsp *flightrec.Span
 		if active != nil {
-			if jsp = m.tracer.StartSpan(active.sc, "netlog.journal"); jsp != nil {
+			if jsp = m.flight.StartSpan(active.sc, "netlog.journal"); jsp != nil {
 				jsp.AttrInt("dpid", int64(dpid)).AttrInt("cmd", int64(fm.Command))
 				defer jsp.End()
 			}
@@ -518,7 +514,7 @@ func (t *Txn) Commit() error {
 		// milliseconds. A commit record implies its begin.
 		t.m.flight.Record(flightrec.Record{
 			Layer: flightrec.LayerNetLog, Kind: flightrec.KindTxnCommit,
-			Trace: t.traceID, Txn: t.ID, N: int64(ops),
+			Trace: t.traceID, Txn: t.ID, N: int32(ops),
 		})
 	}
 	for _, d := range dpids {
@@ -554,7 +550,7 @@ func (t *Txn) Abort() error {
 
 	// The abort child span times the rollback itself (inverse sends plus
 	// barriers); the parent txn span closes after it with the final state.
-	abortSpan := t.m.tracer.StartSpan(t.sc, "netlog.abort")
+	abortSpan := t.m.flight.StartSpan(t.sc, "netlog.abort")
 
 	var firstErr error
 	now := t.m.clock.Now()
@@ -621,7 +617,7 @@ func (t *Txn) Abort() error {
 	}
 	t.m.flight.Record(flightrec.Record{
 		Layer: flightrec.LayerNetLog, Kind: flightrec.KindTxnAbort,
-		Trace: t.traceID, Txn: t.ID, N: int64(len(ops)),
+		Trace: t.traceID, Txn: t.ID, N: int32(len(ops)),
 		Note: fmt.Sprintf("rolled back across %d switch(es)", len(dpids)),
 	})
 	return firstErr

@@ -59,10 +59,10 @@ func FuzzReader(f *testing.F) {
 	f.Add(v2Trace())
 	// Truncations at every structural boundary.
 	full := v2Trace(hello, fm)
-	f.Add(full[:4])                    // inside the magic
-	f.Add(full[:8])                    // header only
-	f.Add(full[:8+hdrLenV2-3])         // inside a record header
-	f.Add(full[:len(full)-3])          // inside the last frame
+	f.Add(full[:4])                                 // inside the magic
+	f.Add(full[:8])                                 // header only
+	f.Add(full[:8+hdrLenV2-3])                      // inside a record header
+	f.Add(full[:len(full)-3])                       // inside the last frame
 	f.Add(append(full[:len(full):len(full)], 0xFF)) // trailing garbage
 	// Corrupt magic and an absurd frame length.
 	bad := append([]byte(nil), full...)

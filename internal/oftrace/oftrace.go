@@ -140,9 +140,9 @@ func (w *Writer) Flush() error {
 
 // Record is one traced message.
 type Record struct {
-	Time  time.Time
-	Dir   Direction
-	DPID  uint64
+	Time time.Time
+	Dir  Direction
+	DPID uint64
 	// TraceID links the record to its event's spans (0 = untraced, and
 	// always 0 when reading a legacy v1 file).
 	TraceID uint64

@@ -1,7 +1,8 @@
 // Package status exposes a running LegoSDN stack to operators over
 // HTTP: a JSON summary of controller, app and recovery state, rendered
-// problem tickets, and per-switch flow tables. cmd/legosdn serves it
-// with -status; tests drive it through httptest.
+// problem tickets, and per-switch flow tables, alongside the stack's
+// metrics, traces, autopsies and pprof on one mux. cmd/legosdn serves
+// it with -metrics-addr; tests drive it through httptest.
 package status
 
 import (
@@ -11,6 +12,7 @@ import (
 	"strconv"
 
 	"legosdn/internal/core"
+	"legosdn/internal/flightrec"
 	"legosdn/internal/netsim"
 )
 
@@ -65,13 +67,15 @@ type FlowView struct {
 }
 
 // Handler serves the status API for a stack and its simulated network
-// (net may be nil when the switches are remote).
+// (net may be nil when the switches are remote) on the stack's debug
+// mux (see flightrec.NewDebugMux), so one server answers everything:
 //
 //	GET /status        -> Summary JSON
 //	GET /tickets       -> problem tickets, rendered text
 //	GET /flows?dpid=N  -> FlowView JSON for one switch
+//	GET /metrics, /debug/traces, /debug/autopsy, /debug/pprof/
 func Handler(st *core.Stack, net *netsim.Network) http.Handler {
-	mux := http.NewServeMux()
+	mux := flightrec.NewDebugMux(st.Flight, st.Metrics, st.Autopsies)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, buildSummary(st))
 	})
@@ -105,7 +109,7 @@ func Handler(st *core.Stack, net *netsim.Network) http.Handler {
 			http.Error(w, "no such switch", http.StatusNotFound)
 			return
 		}
-		var flows []FlowView
+		flows := []FlowView{}
 		for _, e := range sw.Table().Entries() {
 			flows = append(flows, FlowView{
 				Priority:    e.Priority,

@@ -125,6 +125,10 @@ func TestTicketsEndpoint(t *testing.T) {
 
 func TestFlowsEndpoint(t *testing.T) {
 	_, n, srv := setup(t)
+	// An empty table is an empty JSON list, not null.
+	if code, body := get(t, srv.URL+"/flows?dpid=1"); code != 200 || body != "[]\n" {
+		t.Fatalf("empty table -> %d %q, want 200 \"[]\\n\"", code, body)
+	}
 	n.Switch(1).Table().Apply(&openflow.FlowMod{
 		Match: openflow.MatchAll(), Command: openflow.FlowModAdd, Priority: 9,
 		BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone,
@@ -147,5 +151,29 @@ func TestFlowsEndpoint(t *testing.T) {
 	}
 	if code, _ := get(t, srv.URL+"/flows?dpid=99"); code != http.StatusNotFound {
 		t.Fatalf("unknown dpid -> %d", code)
+	}
+}
+
+// TestHandlerRoutes drives every route through one Handler: the status
+// API and the debug mux it is mounted on answer on the same server.
+func TestHandlerRoutes(t *testing.T) {
+	_, _, srv := setup(t)
+	for _, tc := range []struct {
+		path string
+		want string // substring of the body
+	}{
+		{"/status", `"mode": "legosdn"`},
+		{"/tickets", "no tickets"},
+		{"/flows?dpid=1", "[]"},
+		{"/metrics", "legosdn_flightrec_records_total"},
+		{"/debug/traces", "no traces recorded"},
+		{"/debug/traces?format=chrome", `"traceEvents"`},
+		{"/debug/autopsy?format=json", "[]"},
+		{"/debug/pprof/", "goroutine"},
+	} {
+		code, body := get(t, srv.URL+tc.path)
+		if code != 200 || !strings.Contains(body, tc.want) {
+			t.Errorf("GET %s -> %d, body missing %q:\n%s", tc.path, code, tc.want, body)
+		}
 	}
 }

@@ -1,32 +1,17 @@
-// Package trace is LegoSDN's event-scoped tracing layer. The paper's
-// whole value proposition is what happens to one network event when an
-// app crashes — checkpoint, detect, rollback, replay or transform — so
-// this package makes exactly that visible: each injected event can be
-// sampled into a trace, and every stage it crosses (controller
-// dispatch, AppVisor proxy/stub round trip, NetLog transaction
-// lifecycle, Crash-Pad recovery) opens a span under that trace.
+// Package trace carries LegoSDN's trace identity. The paper's whole
+// value proposition is what happens to one network event when an app
+// crashes — checkpoint, detect, rollback, replay or transform — so each
+// injected event may be sampled into a trace, and every stage it
+// crosses opens a span under that trace. Sampling and span recording
+// live in internal/flightrec; this package holds only what the other
+// layers pass around:
 //
-// Design constraints, in order:
-//
-//   - Always cheap. With sampling off (rate 0) the per-event cost is a
-//     nil/zero check; untraced events never allocate. Only sampled
-//     events pay for span records.
-//   - Lock-free recording. Completed spans land in sharded ring
-//     buffers of atomic slots; writers claim a slot with one atomic
-//     add and publish with one atomic swap. Readers (the /debug/traces
-//     endpoint) see a consistent-enough view without stopping writers.
-//   - Wire-propagatable. A SpanContext is two uint64s, small enough to
-//     ride AppVisor's event datagrams, so a stub process joins the
-//     same trace its proxy started (wireVersion 3).
+//   - SpanContext, two uint64s small enough to ride AppVisor's event
+//     datagrams (wireVersion 3) and controller.Event, so a stub process
+//     joins the same trace its proxy started.
+//   - A slog handler that stamps trace and crash correlation ids onto
+//     log records, with its context helpers.
 package trace
-
-import (
-	"sort"
-	"sync/atomic"
-	"time"
-
-	"legosdn/internal/metrics"
-)
 
 // SpanContext identifies a position in a trace: the trace itself and
 // the span that new child spans should hang under. The zero value means
@@ -39,308 +24,3 @@ type SpanContext struct {
 
 // Valid reports whether the context belongs to a sampled trace.
 func (c SpanContext) Valid() bool { return c.TraceID != 0 }
-
-// Attr is one key/value annotation on a span (recovery decision,
-// policy chosen, app name, transaction op count).
-type Attr struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
-// SpanRecord is one completed span as it sits in the ring.
-type SpanRecord struct {
-	Trace  uint64        `json:"trace"`
-	Span   uint64        `json:"span"`
-	Parent uint64        `json:"parent"`
-	Name   string        `json:"name"`
-	Start  time.Time     `json:"start"`
-	Dur    time.Duration `json:"dur"`
-	Attrs  []Attr        `json:"attrs,omitempty"`
-}
-
-// Options tunes a Tracer.
-type Options struct {
-	// SampleRate is the fraction of roots sampled into traces, in
-	// [0, 1]. 0 disables tracing (the default); 1 traces everything.
-	SampleRate float64
-	// BufferSize is the total completed-span capacity across all
-	// shards (default 16384, rounded up so each shard is a power of
-	// two). Oldest spans are overwritten when full.
-	BufferSize int
-	// Shards is the ring shard count (default 8, rounded up to a power
-	// of two). More shards spread writer contention across cores.
-	Shards int
-	// Metrics, when set, registers span-count and span-drop counters.
-	Metrics *metrics.Registry
-}
-
-// shard is one lock-free ring of completed spans. Writers claim slot
-// indexes with next.Add and publish records with an atomic pointer
-// swap; a swap that returns a previous record means the ring lapped an
-// unread span, which is counted as a drop.
-type shard struct {
-	next  atomic.Uint64
-	slots []atomic.Pointer[SpanRecord]
-}
-
-// Tracer samples traces and records their spans. A nil *Tracer is
-// fully usable: every method no-ops, so components wire tracing
-// unconditionally and pay one branch when it is absent.
-type Tracer struct {
-	threshold uint64 // sample iff mix(counter) < threshold; ^0 = always
-	shards    []*shard
-	shardMask uint64
-	slotMask  uint64
-	ids       atomic.Uint64 // id counter, mixed into unique span/trace ids
-	seed      uint64
-	samples   atomic.Uint64 // root sampling counter (Weyl sequence state)
-
-	// Spans counts recorded spans; Drops counts ring overwrites of
-	// spans never read by an export.
-	Spans metrics.Counter
-	Drops metrics.Counter
-}
-
-// New creates a Tracer.
-func New(opts Options) *Tracer {
-	if opts.BufferSize <= 0 {
-		opts.BufferSize = 16384
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 8
-	}
-	nShards := ceilPow2(opts.Shards)
-	perShard := ceilPow2((opts.BufferSize + nShards - 1) / nShards)
-	t := &Tracer{
-		shards:    make([]*shard, nShards),
-		shardMask: uint64(nShards - 1),
-		slotMask:  uint64(perShard - 1),
-		seed:      splitmix64(uint64(time.Now().UnixNano())),
-	}
-	for i := range t.shards {
-		t.shards[i] = &shard{slots: make([]atomic.Pointer[SpanRecord], perShard)}
-	}
-	switch {
-	case opts.SampleRate >= 1:
-		t.threshold = ^uint64(0)
-	case opts.SampleRate <= 0:
-		t.threshold = 0
-	default:
-		t.threshold = uint64(opts.SampleRate * float64(^uint64(0)))
-	}
-	if reg := opts.Metrics; reg != nil {
-		t.Instrument(reg)
-	}
-	return t
-}
-
-// Instrument registers the tracer's counters into reg.
-func (t *Tracer) Instrument(reg *metrics.Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	reg.RegisterCounter("legosdn_trace_spans_total",
-		"spans recorded into the trace ring", &t.Spans)
-	reg.RegisterCounter("legosdn_trace_spans_dropped_total",
-		"spans overwritten in the ring before an export read them", &t.Drops)
-}
-
-// Enabled reports whether any sampling can occur.
-func (t *Tracer) Enabled() bool { return t != nil && t.threshold != 0 }
-
-// Root makes the sampling decision for a new event. It returns a root
-// SpanContext (TraceID set, SpanID zero) when sampled, or the zero
-// context otherwise. The decision is made once per event; everything
-// downstream keys off SpanContext.Valid.
-func (t *Tracer) Root() SpanContext {
-	if t == nil || t.threshold == 0 {
-		return SpanContext{}
-	}
-	if t.threshold != ^uint64(0) {
-		// Weyl sequence through a splitmix finalizer: a race-free,
-		// allocation-free uniform draw.
-		x := splitmix64(t.samples.Add(0x9E3779B97F4A7C15))
-		if x >= t.threshold {
-			return SpanContext{}
-		}
-	}
-	return SpanContext{TraceID: t.newID()}
-}
-
-// newID mints a process-unique nonzero id. The seed keeps ids from
-// separate processes (proxy vs stub subprocess) from colliding inside
-// one trace.
-func (t *Tracer) newID() uint64 {
-	id := splitmix64(t.ids.Add(1) ^ t.seed)
-	if id == 0 {
-		id = 1
-	}
-	return id
-}
-
-// Span is one in-flight stage of a trace. A nil *Span (untraced event
-// or absent tracer) no-ops on every method.
-type Span struct {
-	t   *Tracer
-	rec SpanRecord
-}
-
-// StartSpan opens a span under parent. It returns nil — free to carry
-// and to End — when the tracer is nil or the parent is untraced.
-func (t *Tracer) StartSpan(parent SpanContext, name string) *Span {
-	if t == nil || !parent.Valid() {
-		return nil
-	}
-	return &Span{t: t, rec: SpanRecord{
-		Trace:  parent.TraceID,
-		Span:   t.newID(),
-		Parent: parent.SpanID,
-		Name:   name,
-		Start:  time.Now(),
-	}}
-}
-
-// Context returns the span's own context, for parenting children
-// (including across the AppVisor wire). Zero for a nil span.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.rec.Trace, SpanID: s.rec.Span}
-}
-
-// Attr annotates the span. Returns s for chaining; nil-safe.
-func (s *Span) Attr(key, value string) *Span {
-	if s != nil {
-		s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
-	}
-	return s
-}
-
-// AttrInt annotates the span with an integer value.
-func (s *Span) AttrInt(key string, value int64) *Span {
-	if s != nil {
-		s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: itoa(value)})
-	}
-	return s
-}
-
-// End completes the span and publishes it to the ring. Calling End
-// more than once records the span more than once; don't.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.rec.Dur = time.Since(s.rec.Start)
-	s.t.record(&s.rec)
-}
-
-// record publishes one completed span: claim a slot in the span's
-// shard, swap the record in, count a drop if the slot held an unread
-// span.
-func (t *Tracer) record(rec *SpanRecord) {
-	sh := t.shards[rec.Span&t.shardMask]
-	idx := (sh.next.Add(1) - 1) & t.slotMask
-	if old := sh.slots[idx].Swap(rec); old != nil {
-		t.Drops.Add(1)
-	}
-	t.Spans.Add(1)
-}
-
-// Snapshot copies every span currently in the ring, oldest first.
-func (t *Tracer) Snapshot() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	var out []SpanRecord
-	for _, sh := range t.shards {
-		for i := range sh.slots {
-			if rec := sh.slots[i].Load(); rec != nil {
-				out = append(out, *rec)
-			}
-		}
-	}
-	sortSpans(out)
-	return out
-}
-
-// Trace is one trace's spans, oldest first.
-type Trace struct {
-	ID    uint64
-	Spans []SpanRecord
-}
-
-// Traces groups the ring's spans by trace, most recent trace first,
-// returning at most limit traces (0 = all).
-func (t *Tracer) Traces(limit int) []Trace {
-	spans := t.Snapshot()
-	byID := make(map[uint64]*Trace)
-	order := make([]*Trace, 0, 16)
-	for _, sp := range spans {
-		tr := byID[sp.Trace]
-		if tr == nil {
-			tr = &Trace{ID: sp.Trace}
-			byID[sp.Trace] = tr
-			order = append(order, tr)
-		}
-		tr.Spans = append(tr.Spans, sp)
-	}
-	// Most recent first: sort by the start of each trace's first span.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	if limit > 0 && len(order) > limit {
-		order = order[:limit]
-	}
-	out := make([]Trace, len(order))
-	for i, tr := range order {
-		out[i] = *tr
-	}
-	return out
-}
-
-// sortSpans orders records by start time.
-func sortSpans(spans []SpanRecord) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed 64-bit
-// permutation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// itoa is a minimal int64 formatter, avoiding strconv on the span hot
-// path's import graph (kept tiny on purpose).
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}

@@ -3,268 +3,10 @@ package trace
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
-	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-
-	"legosdn/internal/metrics"
 )
-
-func TestNilTracerNoOps(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	if sc := tr.Root(); sc.Valid() {
-		t.Fatal("nil tracer sampled a root")
-	}
-	sp := tr.StartSpan(SpanContext{TraceID: 1}, "x")
-	if sp != nil {
-		t.Fatal("nil tracer returned a span")
-	}
-	sp.Attr("k", "v").AttrInt("n", 7)
-	sp.End() // must not panic
-	if got := sp.Context(); got.Valid() {
-		t.Fatal("nil span has valid context")
-	}
-	if tr.Snapshot() != nil {
-		t.Fatal("nil tracer snapshot non-nil")
-	}
-}
-
-func TestSamplingRates(t *testing.T) {
-	always := New(Options{SampleRate: 1})
-	if !always.Enabled() {
-		t.Fatal("rate 1 not enabled")
-	}
-	for i := 0; i < 100; i++ {
-		if !always.Root().Valid() {
-			t.Fatal("rate 1 skipped a root")
-		}
-	}
-
-	never := New(Options{SampleRate: 0})
-	if never.Enabled() {
-		t.Fatal("rate 0 enabled")
-	}
-	for i := 0; i < 100; i++ {
-		if never.Root().Valid() {
-			t.Fatal("rate 0 sampled a root")
-		}
-	}
-
-	half := New(Options{SampleRate: 0.5})
-	n := 0
-	for i := 0; i < 10000; i++ {
-		if half.Root().Valid() {
-			n++
-		}
-	}
-	if n < 4000 || n > 6000 {
-		t.Fatalf("rate 0.5 sampled %d/10000", n)
-	}
-}
-
-func TestSpanRecordingAndHierarchy(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 64})
-	root := tr.Root()
-	parent := tr.StartSpan(root, "parent").Attr("app", "route")
-	child := tr.StartSpan(parent.Context(), "child").AttrInt("ops", 3)
-	child.End()
-	parent.End()
-
-	spans := tr.Snapshot()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	byName := map[string]SpanRecord{}
-	for _, sp := range spans {
-		byName[sp.Name] = sp
-		if sp.Trace != root.TraceID {
-			t.Fatalf("span %q trace %x, want %x", sp.Name, sp.Trace, root.TraceID)
-		}
-	}
-	p, c := byName["parent"], byName["child"]
-	if p.Parent != 0 {
-		t.Fatalf("parent span has parent %x", p.Parent)
-	}
-	if c.Parent != p.Span {
-		t.Fatalf("child parent %x, want %x", c.Parent, p.Span)
-	}
-	if len(p.Attrs) != 1 || p.Attrs[0].Key != "app" || p.Attrs[0].Value != "route" {
-		t.Fatalf("parent attrs %v", p.Attrs)
-	}
-	if len(c.Attrs) != 1 || c.Attrs[0].Value != "3" {
-		t.Fatalf("child attrs %v", c.Attrs)
-	}
-}
-
-func TestRingOverwriteCountsDrops(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 8, Shards: 1})
-	root := tr.Root()
-	for i := 0; i < 100; i++ {
-		tr.StartSpan(root, "s").End()
-	}
-	if got := tr.Spans.Load(); got != 100 {
-		t.Fatalf("spans counter %d, want 100", got)
-	}
-	if got := tr.Drops.Load(); got != 100-8 {
-		t.Fatalf("drops counter %d, want %d", got, 100-8)
-	}
-	if got := len(tr.Snapshot()); got != 8 {
-		t.Fatalf("snapshot %d spans, want 8", got)
-	}
-}
-
-func TestTracesGroupingAndLimit(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 64})
-	for i := 0; i < 3; i++ {
-		root := tr.Root()
-		tr.StartSpan(root, "a").End()
-		tr.StartSpan(root, "b").End()
-	}
-	traces := tr.Traces(0)
-	if len(traces) != 3 {
-		t.Fatalf("got %d traces, want 3", len(traces))
-	}
-	for _, g := range traces {
-		if len(g.Spans) != 2 {
-			t.Fatalf("trace %x has %d spans, want 2", g.ID, len(g.Spans))
-		}
-	}
-	if got := len(tr.Traces(2)); got != 2 {
-		t.Fatalf("limit 2 returned %d traces", got)
-	}
-}
-
-func TestConcurrentRecording(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 1024})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				root := tr.Root()
-				sp := tr.StartSpan(root, "work")
-				tr.StartSpan(sp.Context(), "inner").End()
-				sp.End()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tr.Spans.Load(); got != 8*200*2 {
-		t.Fatalf("spans counter %d, want %d", got, 8*200*2)
-	}
-	// Snapshot while more writes land must not race (run with -race).
-	var wg2 sync.WaitGroup
-	wg2.Add(1)
-	go func() {
-		defer wg2.Done()
-		for i := 0; i < 100; i++ {
-			tr.StartSpan(tr.Root(), "late").End()
-		}
-	}()
-	for i := 0; i < 20; i++ {
-		tr.Snapshot()
-	}
-	wg2.Wait()
-}
-
-func TestWriteTextAndChrome(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 64})
-	root := tr.Root()
-	sp := tr.StartSpan(root, "controller.dispatch").Attr("kind", "packet_in")
-	tr.StartSpan(sp.Context(), "netlog.txn").Attr("state", "aborted").End()
-	sp.End()
-
-	var text bytes.Buffer
-	tr.WriteText(&text, 0)
-	for _, want := range []string{"controller.dispatch", "netlog.txn", "state=aborted", "kind=packet_in"} {
-		if !strings.Contains(text.String(), want) {
-			t.Fatalf("text export missing %q:\n%s", want, text.String())
-		}
-	}
-
-	var chrome bytes.Buffer
-	if err := tr.WriteChrome(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &file); err != nil {
-		t.Fatalf("chrome export is not valid JSON: %v", err)
-	}
-	if len(file.TraceEvents) != 2 {
-		t.Fatalf("chrome export has %d events, want 2", len(file.TraceEvents))
-	}
-	for _, ev := range file.TraceEvents {
-		if ev.Ph != "X" {
-			t.Fatalf("event %q ph %q, want X", ev.Name, ev.Ph)
-		}
-	}
-}
-
-func TestHTTPHandler(t *testing.T) {
-	tr := New(Options{SampleRate: 1, BufferSize: 64})
-	tr.StartSpan(tr.Root(), "s").End()
-
-	rec := httptest.NewRecorder()
-	tr.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "trace ") {
-		t.Fatalf("text endpoint: code %d body %q", rec.Code, rec.Body.String())
-	}
-
-	rec = httptest.NewRecorder()
-	tr.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?format=chrome", nil))
-	if rec.Code != 200 || !json.Valid(rec.Body.Bytes()) {
-		t.Fatalf("chrome endpoint: code %d valid=%v", rec.Code, json.Valid(rec.Body.Bytes()))
-	}
-
-	var nilTr *Tracer
-	rec = httptest.NewRecorder()
-	nilTr.HTTPHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	if rec.Code != 404 {
-		t.Fatalf("nil tracer endpoint code %d, want 404", rec.Code)
-	}
-}
-
-func TestDebugMuxRoutes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := New(Options{SampleRate: 1, Metrics: reg})
-	mux := NewDebugMux(tr, reg)
-	for _, path := range []string{"/metrics", "/debug/traces", "/debug/pprof/"} {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s -> %d", path, rec.Code)
-		}
-	}
-}
-
-func TestInstrumentCounters(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := New(Options{SampleRate: 1, BufferSize: 8, Shards: 1, Metrics: reg})
-	for i := 0; i < 10; i++ {
-		tr.StartSpan(tr.Root(), "s").End()
-	}
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), "legosdn_trace_spans_total 10") {
-		t.Fatalf("spans counter not exported:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "legosdn_trace_spans_dropped_total 2") {
-		t.Fatalf("drops counter not exported:\n%s", buf.String())
-	}
-}
 
 func TestSlogTraceCorrelation(t *testing.T) {
 	var buf bytes.Buffer
@@ -326,25 +68,5 @@ func TestSlogCrashCorrelation(t *testing.T) {
 
 	if app, ticket := CrashFromContext(context.Background()); app != "" || ticket != 0 {
 		t.Fatalf("CrashFromContext on empty ctx = %q, %d", app, ticket)
-	}
-}
-
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 8: 8, 9: 16, 1000: 1024}
-	for in, want := range cases {
-		if got := ceilPow2(in); got != want {
-			t.Fatalf("ceilPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestItoa(t *testing.T) {
-	for _, c := range []struct {
-		in   int64
-		want string
-	}{{0, "0"}, {7, "7"}, {-42, "-42"}, {123456789, "123456789"}} {
-		if got := itoa(c.in); got != c.want {
-			t.Fatalf("itoa(%d) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }
