@@ -1,9 +1,14 @@
 package appvisor
 
 import (
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"legosdn/internal/controller"
 	"legosdn/internal/openflow"
@@ -153,5 +158,133 @@ func TestProxyBatchCrashAttribution(t *testing.T) {
 	}
 	if ce.Report.Reason != CrashReported {
 		t.Fatalf("reason = %v, want reported", ce.Report.Reason)
+	}
+}
+
+// boundaryCtx is a Context that is also a controller.EventBoundary: it
+// records each announced index with the number of messages served
+// (through the proxy's own Context) by then.
+type boundaryCtx struct {
+	fakeCtx
+	served *fakeCtx
+	bmu    sync.Mutex
+	begins []int
+	sentAt []int
+}
+
+func (c *boundaryCtx) BeginEvent(i int) {
+	sent := c.served.sentCount()
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	c.begins = append(c.begins, i)
+	c.sentAt = append(c.sentAt, sent)
+}
+
+// flowModPerEvent sends one FlowMod for every event except skip.
+func flowModPerEvent(skip uint64) func(controller.Context, controller.Event) error {
+	return func(ctx controller.Context, ev controller.Event) error {
+		if ev.Seq == skip {
+			return nil
+		}
+		return ctx.SendFlowMod(ev.DPID, &openflow.FlowMod{Match: openflow.MatchAll(),
+			Command: openflow.FlowModAdd, Priority: uint16(ev.Seq),
+			BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone})
+	}
+}
+
+// TestProxyBatchAnnouncesEventBoundaries: the proxy reads the batch
+// index the stub stamps on each Context call and announces it on the
+// caller's Context before serving the call. An event that makes no call
+// is never announced, and the first event needs no announcement.
+func TestProxyBatchAnnouncesEventBoundaries(t *testing.T) {
+	app := &funcApp{name: "bound", handle: flowModPerEvent(2)}
+	p, served := newTestProxy(t, func() controller.App { return app }, ProxyOptions{})
+	ctx := &boundaryCtx{served: served}
+	evs := []controller.Event{pktInEvent(1, 1), pktInEvent(2, 2), pktInEvent(3, 3), pktInEvent(4, 4)}
+	if err := p.HandleEventBatch(ctx, evs); err != nil {
+		t.Fatal(err)
+	}
+	ctx.bmu.Lock()
+	defer ctx.bmu.Unlock()
+	if want := []int{2, 3}; !reflect.DeepEqual(ctx.begins, want) {
+		t.Fatalf("announced %v, want %v", ctx.begins, want)
+	}
+	// Announced before the event's own FlowMod was served.
+	if want := []int{1, 2}; !reflect.DeepEqual(ctx.sentAt, want) {
+		t.Fatalf("messages sent at each announcement %v, want %v", ctx.sentAt, want)
+	}
+}
+
+// TestProxyBatchTimeoutBlamesLastCall: a batch whose stub goes silent
+// blames the last event that made a Context call, not the batch head.
+func TestProxyBatchTimeoutBlamesLastCall(t *testing.T) {
+	block := make(chan struct{})
+	send := flowModPerEvent(0)
+	app := &funcApp{name: "hang", handle: func(ctx controller.Context, ev controller.Event) error {
+		err := send(ctx, ev)
+		if ev.Seq == 3 {
+			<-block
+		}
+		return err
+	}}
+	p, served := newTestProxy(t, func() controller.App { return app },
+		ProxyOptions{EventTimeout: 150 * time.Millisecond, HeartbeatTimeout: -1})
+	defer close(block)
+	evs := []controller.Event{pktInEvent(1, 1), pktInEvent(2, 2), pktInEvent(3, 3), pktInEvent(4, 4)}
+	err := p.HandleEventBatch(&boundaryCtx{served: served}, evs)
+	var ce *CrashError
+	if !errors.As(err, &ce) || ce.Report.Reason != CrashTimeout {
+		t.Fatalf("want timeout CrashError, got %v", err)
+	}
+	if ce.Report.Event.Seq != 3 {
+		t.Fatalf("timeout blamed seq %d, want 3", ce.Report.Event.Seq)
+	}
+}
+
+// countingApp bumps runs as a handler starts and done as it ends, with
+// a pause between; a snapshot taken mid-handler shows runs != done.
+type countingApp struct {
+	runs, done uint64
+}
+
+func (a *countingApp) Name() string                          { return "counting" }
+func (a *countingApp) Subscriptions() []controller.EventKind { return controller.AllEventKinds() }
+func (a *countingApp) HandleEvent(controller.Context, controller.Event) error {
+	a.runs++
+	time.Sleep(30 * time.Millisecond)
+	a.done++
+	return nil
+}
+func (a *countingApp) Snapshot() ([]byte, error) {
+	b := binary.BigEndian.AppendUint64(nil, a.runs)
+	return binary.BigEndian.AppendUint64(b, a.done), nil
+}
+func (a *countingApp) Restore([]byte) error { return nil }
+
+// TestStubSnapshotWaitsForInFlightEvent: the wire duplicates an event,
+// so the stub is still running the copy when the proxy, which got the
+// first ack, asks for a snapshot. The snapshot queues behind the copy
+// and captures the state after it, never the middle of a handler (under
+// -race, a snapshot served beside the handler is also a data race).
+func TestStubSnapshotWaitsForInFlightEvent(t *testing.T) {
+	p, _ := newTestProxy(t, func() controller.App { return &countingApp{} },
+		ProxyOptions{HeartbeatTimeout: -1})
+	var duped atomic.Bool
+	p.SetWireFault(func(_, _ string, dgType uint8) WireVerdict {
+		if dgType == dgEvent && duped.CompareAndSwap(false, true) {
+			return WireVerdict{Action: WireDup}
+		}
+		return WireVerdict{}
+	})
+	if err := p.HandleEvent(nil, pktInEvent(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	state, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, done := binary.BigEndian.Uint64(state), binary.BigEndian.Uint64(state[8:])
+	if runs != 2 || done != 2 {
+		t.Fatalf("snapshot runs=%d done=%d, want the state after both copies (2, 2)", runs, done)
 	}
 }

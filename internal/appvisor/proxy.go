@@ -160,6 +160,7 @@ type Proxy struct {
 	lastBeat atomic.Int64 // unix nanos of last heartbeat
 	stubUp   atomic.Bool
 	inFlight atomic.Pointer[controller.Event]
+	batch    atomic.Pointer[batchCall]
 	closed   atomic.Bool
 	done     chan struct{}
 	wfault   atomic.Pointer[WireFault]
@@ -411,11 +412,46 @@ func (p *Proxy) HandleEvent(_ controller.Context, ev controller.Event) error {
 	return status
 }
 
+// batchCall is the batched delivery in flight. The stub stamps each
+// Context call with the delivery's RPC id and the index of the event
+// being handled; a call carrying this id moves last forward and, when
+// the caller's Context is a controller.EventBoundary, announces the
+// event boundary before the call is served.
+type batchCall struct {
+	id       uint64
+	n        int                      // events in the batch
+	boundary controller.EventBoundary // nil when the caller's Context has none
+	mu       sync.Mutex
+	last     int // highest event index seen in a Context call
+}
+
+// begin records that evs[i] is being handled.
+func (b *batchCall) begin(i int) {
+	b.mu.Lock()
+	moved := i > b.last && i < b.n
+	if moved {
+		b.last = i
+	}
+	b.mu.Unlock()
+	if moved && b.boundary != nil {
+		b.boundary.BeginEvent(i)
+	}
+}
+
+func (b *batchCall) lastIndex() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.last
+}
+
 // HandleEventBatch implements controller.BatchApp: N events ride one
 // dgEventBatch datagram and one dgEventDone ack, so a queued backlog
 // costs one UDP round trip instead of N. The stub processes the batch
-// in order; an indexed crash report pins the blame on the exact event.
-func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) error {
+// in order; an indexed crash report pins the blame on the exact event,
+// and a timeout blames the last event that made a Context call. When
+// ctx is a controller.EventBoundary, it learns each event boundary
+// from the stamped Context calls, before the proxy serves them.
+func (p *Proxy) HandleEventBatch(ctx controller.Context, evs []controller.Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
@@ -444,12 +480,16 @@ func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) e
 	if err != nil {
 		return err
 	}
+	bc := &batchCall{id: p.nextID.Add(1), n: len(evs)}
+	bc.boundary, _ = ctx.(controller.EventBoundary)
+	p.batch.Store(bc)
+	defer p.batch.Store(nil)
 	// The per-event budget scales with the batch: a full batch is N
 	// sequential handler runs on the stub side.
 	timeout := time.Duration(len(evs)) * p.opts.EventTimeout
-	d, err := p.rpcToStub(&datagram{Type: dgEventBatch, ID: p.nextID.Add(1), Payload: payload}, timeout)
+	d, err := p.rpcToStub(&datagram{Type: dgEventBatch, ID: bc.id, Payload: payload}, timeout)
 	if err != nil {
-		report := p.noteCrash(CrashTimeout, err.Error(), "", &evs[0])
+		report := p.noteCrash(CrashTimeout, err.Error(), "", &evs[bc.lastIndex()])
 		return &CrashError{Report: report}
 	}
 	if d.Type == dgCrash {
@@ -765,15 +805,20 @@ func (p *Proxy) completeAnyWaiter(d *datagram) bool {
 	return false
 }
 
-// serveRequest executes one Context call on the app's behalf.
+// serveRequest executes one Context call on the app's behalf. A call
+// made for the batch in flight first announces its event boundary.
 func (p *Proxy) serveRequest(raddr *net.UDPAddr, d *datagram) {
-	op, dpid, msg, err := decodeRequest(d.Payload)
+	r, err := decodeRequest(d.Payload)
 	if err != nil {
 		_ = p.sendTo(raddr, &datagram{Type: dgResponse, ID: d.ID, Payload: statusPayload(err)})
 		return
 	}
+	if bc := p.batch.Load(); bc != nil && bc.id == r.Delivery {
+		bc.begin(r.Index)
+	}
+	dpid, msg := r.DPID, r.Msg
 	var payload []byte
-	switch op {
+	switch r.Op {
 	case opSendMessage:
 		payload = statusPayload(p.ctx.SendMessage(dpid, msg))
 	case opStats:
@@ -808,7 +853,7 @@ func (p *Proxy) serveRequest(raddr *net.UDPAddr, d *datagram) {
 			payload = statusPayload(err)
 		}
 	default:
-		payload = statusPayload(fmt.Errorf("appvisor: unknown op %d", op))
+		payload = statusPayload(fmt.Errorf("appvisor: unknown op %d", r.Op))
 	}
 	_ = p.sendTo(raddr, &datagram{Type: dgResponse, ID: d.ID, Payload: payload})
 }

@@ -213,14 +213,14 @@ func (s *Stub) readLoop() {
 				_ = s.send(&datagram{Type: dgEventDone, ID: d.ID, Payload: statusPayload(err)})
 				continue
 			}
-			s.enqueue(stubWork{evs: []controller.Event{ev}, rpcID: d.ID})
+			s.enqueue(stubWork{kind: dgEvent, evs: []controller.Event{ev}, rpcID: d.ID})
 		case dgEventBatch:
 			evs, err := decodeEventBatch(d.Payload)
 			if err != nil {
 				_ = s.send(&datagram{Type: dgEventDone, ID: d.ID, Payload: statusPayload(err)})
 				continue
 			}
-			s.enqueue(stubWork{evs: evs, rpcID: d.ID})
+			s.enqueue(stubWork{kind: dgEvent, evs: evs, rpcID: d.ID})
 		case dgResponse:
 			d.detach() // handed to a waiter, outlives buf
 			s.mu.Lock()
@@ -231,10 +231,15 @@ func (s *Stub) readLoop() {
 				w <- d
 			}
 		case dgSnapshotReq:
-			s.handleSnapshot(d.ID)
+			// Snapshot and restore queue behind the deliveries that came
+			// before them, so they never run concurrently with a handler
+			// and a snapshot never captures mid-event state. They must
+			// not run here either: this loop has to stay free to receive
+			// the dgResponse a running handler waits for.
+			s.enqueue(stubWork{kind: dgSnapshotReq, rpcID: d.ID})
 		case dgRestoreReq:
-			d.detach() // the app's Restore may retain the state bytes
-			s.handleRestore(d.ID, d.Payload)
+			d.detach() // queued, and the app's Restore may retain the bytes
+			s.enqueue(stubWork{kind: dgRestoreReq, state: d.Payload, rpcID: d.ID})
 		case dgShutdown:
 			s.terminate()
 			return
@@ -242,19 +247,34 @@ func (s *Stub) readLoop() {
 	}
 }
 
-// stubWork is one delivery: a single event or a proxy-coalesced batch,
-// acknowledged by one dgEventDone under the delivery's RPC id (so the
-// same events can be redelivered during replay under a fresh id).
+// stubWork is one unit of the stub's work queue, run in arrival order:
+// a delivery (kind dgEvent: a single event or a proxy-coalesced batch,
+// acknowledged by one dgEventDone under the delivery's RPC id, so the
+// same events can be redelivered during replay under a fresh id), a
+// snapshot (dgSnapshotReq) or a restore of state (dgRestoreReq).
 type stubWork struct {
+	kind  uint8
 	evs   []controller.Event
+	state []byte
 	rpcID uint64
+}
+
+// replyType is the datagram type that answers w.
+func (w stubWork) replyType() uint8 {
+	switch w.kind {
+	case dgSnapshotReq:
+		return dgSnapshotReply
+	case dgRestoreReq:
+		return dgRestoreDone
+	}
+	return dgEventDone
 }
 
 func (s *Stub) enqueue(w stubWork) {
 	select {
 	case s.events <- w:
 	default:
-		_ = s.send(&datagram{Type: dgEventDone, ID: w.rpcID,
+		_ = s.send(&datagram{Type: w.replyType(), ID: w.rpcID,
 			Payload: statusPayload(fmt.Errorf("appvisor: stub queue full"))})
 	}
 }
@@ -266,7 +286,19 @@ func (s *Stub) workLoop() {
 		case <-s.done:
 			return
 		case w := <-s.events:
-			s.handleWork(w)
+			if s.dead.Load() {
+				// Both cases can be ready at once; a dead stub, like an
+				// exited process, runs none of its queued work.
+				return
+			}
+			switch w.kind {
+			case dgSnapshotReq:
+				s.handleSnapshot(w.rpcID)
+			case dgRestoreReq:
+				s.handleRestore(w.rpcID, w.state)
+			default:
+				s.handleWork(w)
+			}
 		}
 	}
 }
@@ -298,7 +330,7 @@ func (s *Stub) handleWork(w stubWork) {
 					s.dieWith(payload)
 				}
 			}()
-			handlerErr = s.app.HandleEvent(&stubContext{s: s}, ev)
+			handlerErr = s.app.HandleEvent(&stubContext{s: s, delivery: w.rpcID, index: i}, ev)
 			return false
 		}()
 		if crashed {
@@ -355,11 +387,11 @@ func (s *Stub) heartbeatLoop() {
 }
 
 // rpc performs one synchronous exchange with the proxy.
-func (s *Stub) rpc(op uint8, dpid uint64, msg openflow.Message) (*datagram, error) {
+func (s *Stub) rpc(r request) (*datagram, error) {
 	if s.dead.Load() {
 		return nil, fmt.Errorf("appvisor: stub is dead")
 	}
-	payload, err := encodeRequest(op, dpid, msg)
+	payload, err := encodeRequest(r)
 	if err != nil {
 		return nil, err
 	}
@@ -394,13 +426,21 @@ func (s *Stub) rpc(op uint8, dpid uint64, msg openflow.Message) (*datagram, erro
 }
 
 // stubContext implements controller.Context for the hosted app by
-// translating every call into a proxy RPC.
+// translating every call into a proxy RPC. Each one serves one event of
+// one delivery, and stamps its calls with both.
 type stubContext struct {
-	s *Stub
+	s        *Stub
+	delivery uint64
+	index    int
+}
+
+// call relays one Context call for the context's event.
+func (c *stubContext) call(op uint8, dpid uint64, msg openflow.Message) (*datagram, error) {
+	return c.s.rpc(request{Op: op, Delivery: c.delivery, Index: c.index, DPID: dpid, Msg: msg})
 }
 
 func (c *stubContext) SendMessage(dpid uint64, msg openflow.Message) error {
-	d, err := c.s.rpc(opSendMessage, dpid, msg)
+	d, err := c.call(opSendMessage, dpid, msg)
 	if err != nil {
 		return err
 	}
@@ -420,7 +460,7 @@ func (c *stubContext) SendPacketOut(dpid uint64, po *openflow.PacketOut) error {
 }
 
 func (c *stubContext) RequestStats(dpid uint64, req *openflow.StatsRequest) (*openflow.StatsReply, error) {
-	d, err := c.s.rpc(opStats, dpid, req)
+	d, err := c.call(opStats, dpid, req)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +483,7 @@ func (c *stubContext) RequestStats(dpid uint64, req *openflow.StatsRequest) (*op
 }
 
 func (c *stubContext) Barrier(dpid uint64) error {
-	d, err := c.s.rpc(opBarrier, dpid, nil)
+	d, err := c.call(opBarrier, dpid, nil)
 	if err != nil {
 		return err
 	}
@@ -455,7 +495,7 @@ func (c *stubContext) Barrier(dpid uint64) error {
 }
 
 func (c *stubContext) Switches() []uint64 {
-	d, err := c.s.rpc(opSwitches, 0, nil)
+	d, err := c.call(opSwitches, 0, nil)
 	if err != nil {
 		return nil
 	}
@@ -467,7 +507,7 @@ func (c *stubContext) Switches() []uint64 {
 }
 
 func (c *stubContext) Ports(dpid uint64) []openflow.PhyPort {
-	d, err := c.s.rpc(opPorts, dpid, nil)
+	d, err := c.call(opPorts, dpid, nil)
 	if err != nil {
 		return nil
 	}
@@ -479,7 +519,7 @@ func (c *stubContext) Ports(dpid uint64) []openflow.PhyPort {
 }
 
 func (c *stubContext) Topology() []controller.LinkInfo {
-	d, err := c.s.rpc(opTopology, 0, nil)
+	d, err := c.call(opTopology, 0, nil)
 	if err != nil {
 		return nil
 	}

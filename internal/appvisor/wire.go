@@ -57,8 +57,12 @@ const (
 	// single ack) and codec bounds checks. Version 3 widens the event
 	// payload with the trace and span ids (16 bytes between seq and the
 	// message flag), so a stub process joins the trace its proxy
-	// started. The header layout is unchanged.
-	wireVersion uint8 = 3
+	// started. Version 4 stamps every dgRequest with the RPC id of the
+	// delivery being handled and the event's index in it (10 bytes
+	// between the opcode and the dpid), so the proxy knows which event
+	// of a batch each Context call belongs to. The header layout is
+	// unchanged.
+	wireVersion uint8 = 4
 	headerLen         = 12
 	// maxDatagram bounds a single UDP payload; events larger than this
 	// (possible only with pathological PacketIn payloads) are rejected.
@@ -379,30 +383,57 @@ func decodeCrashIndex(b []byte) (idx int, ok bool) {
 	return int(binary.BigEndian.Uint32(rest[4+m : 4+m+4])), true
 }
 
-// encodeRequest frames a Context call: opcode, dpid, optional message.
-func encodeRequest(op uint8, dpid uint64, msg openflow.Message) ([]byte, error) {
-	b := make([]byte, 0, 16)
-	b = append(b, op)
-	b = binary.BigEndian.AppendUint64(b, dpid)
-	if msg == nil {
-		return b, nil
-	}
-	return openflow.AppendMessage(b, msg)
+// request is one Context call relayed from stub to proxy. Delivery is
+// the RPC id of the dgEvent or dgEventBatch being handled when the app
+// made the call, and Index the event's position in it (0 for a single
+// event), so the proxy can attribute the call to one event of a batch.
+type request struct {
+	Op       uint8
+	Delivery uint64
+	Index    int
+	DPID     uint64
+	Msg      openflow.Message
 }
 
-func decodeRequest(b []byte) (op uint8, dpid uint64, msg openflow.Message, err error) {
-	if len(b) < 9 {
-		return 0, 0, nil, ErrBadDatagram
+// requestHeaderLen is the fixed prefix of a dgRequest payload: opcode,
+// delivery id, uint16 batch index and dpid.
+const requestHeaderLen = 1 + 8 + 2 + 8
+
+// encodeRequest frames a Context call: opcode, delivery id, batch
+// index, dpid, optional message.
+func encodeRequest(r request) ([]byte, error) {
+	if r.Index < 0 || r.Index > 0xffff {
+		return nil, fmt.Errorf("%w: batch index %d exceeds uint16", ErrBadDatagram, r.Index)
 	}
-	op = b[0]
-	dpid = binary.BigEndian.Uint64(b[1:9])
-	if len(b) > 9 {
-		msg, err = openflow.Decode(b[9:])
+	b := make([]byte, 0, requestHeaderLen+16)
+	b = append(b, r.Op)
+	b = binary.BigEndian.AppendUint64(b, r.Delivery)
+	b = binary.BigEndian.AppendUint16(b, uint16(r.Index))
+	b = binary.BigEndian.AppendUint64(b, r.DPID)
+	if r.Msg == nil {
+		return b, nil
+	}
+	return openflow.AppendMessage(b, r.Msg)
+}
+
+func decodeRequest(b []byte) (request, error) {
+	if len(b) < requestHeaderLen {
+		return request{}, ErrBadDatagram
+	}
+	r := request{
+		Op:       b[0],
+		Delivery: binary.BigEndian.Uint64(b[1:9]),
+		Index:    int(binary.BigEndian.Uint16(b[9:11])),
+		DPID:     binary.BigEndian.Uint64(b[11:19]),
+	}
+	if len(b) > requestHeaderLen {
+		msg, err := openflow.Decode(b[requestHeaderLen:])
 		if err != nil {
-			return 0, 0, nil, err
+			return request{}, err
 		}
+		r.Msg = msg
 	}
-	return op, dpid, msg, nil
+	return r, nil
 }
 
 // encodeSwitches packs a dpid list; the uint16 count field bounds it.

@@ -127,25 +127,35 @@ func TestCrashRoundTrip(t *testing.T) {
 func TestRequestRoundTrip(t *testing.T) {
 	fm := &openflow.FlowMod{BaseMsg: openflow.BaseMsg{Xid: 1}, Match: openflow.MatchAll(),
 		Command: openflow.FlowModAdd, BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone}
-	b, err := encodeRequest(opSendMessage, 12, fm)
+	b, err := encodeRequest(request{Op: opSendMessage, Delivery: 77, Index: 513, DPID: 12, Msg: fm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, dpid, msg, err := decodeRequest(b)
+	r, err := decodeRequest(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != opSendMessage || dpid != 12 {
-		t.Fatalf("op=%d dpid=%d", op, dpid)
+	if r.Op != opSendMessage || r.Delivery != 77 || r.Index != 513 || r.DPID != 12 {
+		t.Fatalf("decoded %+v", r)
 	}
-	if _, ok := msg.(*openflow.FlowMod); !ok {
-		t.Fatalf("msg %T", msg)
+	if _, ok := r.Msg.(*openflow.FlowMod); !ok {
+		t.Fatalf("msg %T", r.Msg)
 	}
 	// nil message form.
-	b2, _ := encodeRequest(opBarrier, 3, nil)
-	op2, dpid2, msg2, err := decodeRequest(b2)
-	if err != nil || op2 != opBarrier || dpid2 != 3 || msg2 != nil {
-		t.Fatalf("barrier decode: %v %d %d %v", err, op2, dpid2, msg2)
+	b2, _ := encodeRequest(request{Op: opBarrier, DPID: 3})
+	r2, err := decodeRequest(b2)
+	if err != nil || r2.Op != opBarrier || r2.DPID != 3 || r2.Msg != nil {
+		t.Fatalf("barrier decode: %v %+v", err, r2)
+	}
+	// The batch index rides a uint16: larger indices are rejected, and
+	// every truncation of the fixed header is refused.
+	if _, err := encodeRequest(request{Op: opBarrier, Index: 0x10000}); err == nil {
+		t.Error("index beyond uint16 accepted")
+	}
+	for cut := 0; cut < requestHeaderLen; cut++ {
+		if _, err := decodeRequest(b2[:cut]); err == nil {
+			t.Errorf("truncation at %d accepted", cut)
+		}
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"legosdn/internal/controller"
 	"legosdn/internal/core"
+	"legosdn/internal/crashpad"
 	"legosdn/internal/flightrec"
 	"legosdn/internal/metrics"
 	"legosdn/internal/netsim"
@@ -35,6 +37,13 @@ type Scenario struct {
 	// EventTimeout bounds one proxied event round trip (default 250ms;
 	// it is also the chaos clock: a dropped datagram costs one of these).
 	EventTimeout time.Duration
+	// Parallel runs the controller's per-app worker pipeline and BatchMax
+	// caps how many queued events a worker coalesces into one delivery
+	// (the core.Config fields of the same names). A parallel run injects
+	// its workload back to back, so deliveries batch and app workers
+	// draw from the schedule concurrently: it cannot be Deterministic.
+	Parallel bool
+	BatchMax int
 
 	// Wire enables AppVisor datagram faults on every app's proxy.
 	Wire WireFaultProbs
@@ -203,8 +212,17 @@ func (sc Scenario) RunSchedule(sched *Schedule, reg *metrics.Registry) *Report {
 		HeartbeatTimeout: -1, // crash detection via event timeout only: deterministic
 		Metrics:          reg,
 		AutopsyDir:       sc.AutopsyDir,
+		Parallel:         sc.Parallel,
+		BatchMax:         sc.BatchMax,
 	})
 	defer stack.Close()
+	// A parallel run waits for the app workers, not the dispatch loop,
+	// before it judges the invariants.
+	var done *doneCounter
+	if sc.Parallel {
+		done = &doneCounter{CrashPad: stack.CrashPad}
+		stack.Controller.SetRunner(done)
+	}
 
 	log := NewEventLog()
 	appNames := make([]string, sc.Apps)
@@ -241,6 +259,17 @@ func (sc Scenario) RunSchedule(sched *Schedule, reg *metrics.Registry) *Report {
 	}
 	sort.Slice(dpids, func(i, j int) bool { return dpids[i] < dpids[j] })
 
+	inject := func(i int) error {
+		return ctrl.Inject(controller.Event{
+			Kind: controller.EventPacketIn,
+			DPID: dpids[(i-1)%len(dpids)],
+			Message: &openflow.PacketIn{
+				BufferID: openflow.BufferIDNone,
+				InPort:   hostPort,
+				Reason:   openflow.PacketInReasonNoMatch,
+			},
+		})
+	}
 	partitioned := false
 	injected := 0
 	for i := 1; i <= sc.Events; i++ {
@@ -269,24 +298,32 @@ func (sc Scenario) RunSchedule(sched *Schedule, reg *metrics.Registry) *Report {
 		}
 
 		target := ctrl.Processed.Load() + 1
-		err := ctrl.Inject(controller.Event{
-			Kind: controller.EventPacketIn,
-			DPID: dpids[(i-1)%len(dpids)],
-			Message: &openflow.PacketIn{
-				BufferID: openflow.BufferIDNone,
-				InPort:   hostPort,
-				Reason:   openflow.PacketInReasonNoMatch,
-			},
-		})
-		if err != nil {
+		if err := inject(i); err != nil {
 			return failedReport(sc, sched, inj, injected, fmt.Errorf("inject %d: %w", i, err))
 		}
 		injected++
+		if sc.Parallel {
+			continue // back to back, so the app workers batch
+		}
 		// Lockstep: wait for the event to dispatch (including any
 		// synchronous Crash-Pad recovery it triggered) before deciding
 		// the next fault. Recovery of a timed-out event can itself take
 		// EventTimeout per retried delivery, so the deadline is generous.
 		waitProcessed(ctrl, target, 30*time.Second)
+	}
+	if done != nil {
+		done.wait(int64(injected*sc.Apps), 5*time.Second)
+		// A crash reported with no delivery in flight (the second run of
+		// a duplicated batch, say) is acted on at the app's next
+		// delivery, as for a killed stub. A short tail of events gives
+		// every such app that delivery before the invariants are judged.
+		for tail := 0; tail < 3 && anyStubDown(stack, appNames); tail++ {
+			if err := inject(sc.Events + tail + 1); err != nil {
+				return failedReport(sc, sched, inj, injected, fmt.Errorf("inject tail: %w", err))
+			}
+			injected++
+			done.wait(int64(injected*sc.Apps), 5*time.Second)
+		}
 	}
 	if partitioned {
 		n.SetPartition(dpids[:len(dpids)/2], false)
@@ -388,6 +425,57 @@ func waitProcessed(c *controller.Controller, target uint64, timeout time.Duratio
 			return
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// anyStubDown reports whether any app still in service has its stub
+// down.
+func anyStubDown(stack *core.Stack, appNames []string) bool {
+	for _, name := range appNames {
+		if !stack.Controller.AppDisabled(name) && !stack.Proxy(name).StubUp() {
+			return true
+		}
+	}
+	return false
+}
+
+// doneCounter is the runner of a parallel run: Crash-Pad, counting the
+// PacketIns whose delivery has returned (recovery included).
+type doneCounter struct {
+	*crashpad.CrashPad
+	n atomic.Int64
+}
+
+func (d *doneCounter) RunEvent(app controller.App, ctx controller.Context, ev controller.Event) *controller.AppFailure {
+	defer d.count(ev)
+	return d.CrashPad.RunEvent(app, ctx, ev)
+}
+
+func (d *doneCounter) RunEventBatch(app controller.App, ctx controller.Context, evs []controller.Event) *controller.AppFailure {
+	defer func() {
+		for _, ev := range evs {
+			d.count(ev)
+		}
+	}()
+	return d.CrashPad.RunEventBatch(app, ctx, evs)
+}
+
+func (d *doneCounter) count(ev controller.Event) {
+	if ev.Kind == controller.EventPacketIn {
+		d.n.Add(1)
+	}
+}
+
+// wait blocks until n PacketIn deliveries have returned, or none has
+// for stall (a quarantined app's queued events are skipped, never
+// returned; the invariants then report it).
+func (d *doneCounter) wait(n int64, stall time.Duration) {
+	last, since := d.n.Load(), time.Now()
+	for d.n.Load() < n && time.Since(since) < stall {
+		time.Sleep(time.Millisecond)
+		if now := d.n.Load(); now != last {
+			last, since = now, time.Now()
+		}
 	}
 }
 

@@ -86,6 +86,21 @@ func Library() []Scenario {
 			Custom:      runHAFollowerLag,
 		},
 		{
+			Name:        "parallel-batch-crash",
+			Description: "two apps on the parallel pipeline; armed crashes land mid-batch among duplicated and delayed datagrams",
+			Events:      80,
+			Parallel:    true,
+			BatchMax:    8,
+			CrashEvery:  9,
+			// The armed trigger counts replayed deliveries too. With a
+			// checkpoint before every batch, a recovery replays at most
+			// BatchMax-1 events, fewer than CrashEvery, so no armed crash
+			// lands inside a replay (which Crash-Pad, by design, does not
+			// recover: a bug that fires on replay is not transient).
+			CheckpointEvery: 1,
+			Wire:            WireFaultProbs{Dup: 0.1, Delay: 0.1},
+		},
+		{
 			Name:        "netsim-flap",
 			Description: "inter-switch links flap under load",
 			Switches:    3,

@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"legosdn/internal/metrics"
 )
 
 // Every library scenario must hold the paper's system-level invariants
@@ -44,6 +46,33 @@ func TestScenariosFireFaults(t *testing.T) {
 		if total == 0 {
 			t.Errorf("scenario %s fired no faults at seed 1234", name)
 		}
+	}
+}
+
+// The parallel scenario must exercise what it exists for: deliveries
+// that batch, and armed crashes inside them. With a checkpoint before
+// every batch, a replay happens only for the events before a crash in
+// the middle of a batch.
+func TestParallelScenarioCrashesMidBatch(t *testing.T) {
+	sc, ok := Find("parallel-batch-crash")
+	if !ok {
+		t.Fatal("library scenario parallel-batch-crash missing")
+	}
+	reg := metrics.NewRegistry()
+	rep := sc.Run(1234, reg)
+	if rep.Failed() {
+		t.Fatalf("invariants failed:\n%s", rep.Render())
+	}
+	snap := reg.Snapshot()
+	bs := snap.Histograms["legosdn_controller_batch_size_events"]
+	if bs.Count == 0 || bs.Sum/float64(bs.Count) <= 1 {
+		t.Fatalf("deliveries did not batch: %d deliveries, %.0f events", bs.Count, bs.Sum)
+	}
+	if rep.Fired["app/panic"] == 0 {
+		t.Fatal("no armed crash fired")
+	}
+	if snap.Counters["legosdn_crashpad_replayed_events_total"] == 0 {
+		t.Fatal("no crash landed in the middle of a batch")
 	}
 }
 

@@ -395,14 +395,16 @@ func NewEveryN(n int) *EveryN {
 // N reports the configured interval.
 func (p *EveryN) N() int { return p.n }
 
-// ShouldCheckpoint reports whether app's next event needs a checkpoint
-// first, advancing the per-app counter.
-func (p *EveryN) ShouldCheckpoint(app string) bool {
+// Advance moves app's cadence over its next k events and reports
+// whether any of them needs a checkpoint first; for a batched delivery
+// that is one checkpoint before the whole batch.
+func (p *EveryN) Advance(app string, k int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c := p.counts[app]
-	p.counts[app] = c + 1
-	return c%p.n == 0
+	p.counts[app] = c + k
+	// Some count in [c, c+k) is a multiple of n.
+	return k > 0 && (c%p.n == 0 || c%p.n+k > p.n)
 }
 
 // Reset restarts app's cadence (used after a recovery, which always

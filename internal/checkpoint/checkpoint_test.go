@@ -67,21 +67,43 @@ func TestEveryN(t *testing.T) {
 	p := NewEveryN(3)
 	want := []bool{true, false, false, true, false, false, true}
 	for i, w := range want {
-		if got := p.ShouldCheckpoint("a"); got != w {
+		if got := p.Advance("a", 1); got != w {
 			t.Fatalf("event %d: got %v want %v", i, got, w)
 		}
 	}
 	// Independent cadence per app.
-	if !p.ShouldCheckpoint("b") {
+	if !p.Advance("b", 1) {
 		t.Fatal("fresh app should checkpoint immediately")
 	}
 	// Reset restarts the cadence.
 	p.Reset("a")
-	if !p.ShouldCheckpoint("a") {
+	if !p.Advance("a", 1) {
 		t.Fatal("reset should force a checkpoint")
 	}
 	if NewEveryN(0).N() != 1 {
 		t.Fatal("n<1 should clamp to 1")
+	}
+}
+
+// Property: advancing the cadence over k events at once reports a
+// checkpoint exactly when one of those events is an N-th event, and
+// leaves the cadence k events on.
+func TestEveryNAdvanceOverBatches(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		p, events := NewEveryN(n), 0
+		for step, k := range []int{3, 1, 4, 2, 7, 1, 1, 5, 6, 2} {
+			want := false
+			for e := events; e < events+k; e++ {
+				want = want || e%n == 0
+			}
+			events += k
+			if got := p.Advance("a", k); got != want {
+				t.Fatalf("n=%d step %d (k=%d): Advance = %v, want %v", n, step, k, got, want)
+			}
+		}
+		if got, want := p.Advance("a", 1), events%n == 0; got != want {
+			t.Fatalf("n=%d: cadence at event %d is %v, want %v", n, events, got, want)
+		}
 	}
 }
 

@@ -117,6 +117,18 @@ type BatchRunner interface {
 	RunEventBatch(app App, ctx Context, evs []Event) *AppFailure
 }
 
+// EventBoundary is optionally implemented by the Context a runner hands
+// to HandleEventBatch. BeginEvent(i) announces that the Context calls
+// which follow are made while handling evs[i]; Crash-Pad uses it to
+// keep one NetLog transaction per event inside a batched delivery.
+// AppVisor's proxy calls it from the batch index the stub stamps on
+// each relayed call; an in-process BatchApp calls it itself before
+// handling each event. Indices only move forward: a repeated or older
+// index is ignored.
+type EventBoundary interface {
+	BeginEvent(i int)
+}
+
 // Snapshotter is implemented by stateful apps that support Crash-Pad
 // checkpointing: Snapshot serializes all state needed to resume, and
 // Restore replaces current state with a prior snapshot. This plays the

@@ -99,12 +99,21 @@ type Options struct {
 	Clock func() time.Time
 }
 
-// CrashPad is the recovery engine. It implements controller.AppRunner;
-// install it as the controller's Runner (or via legosdn's core facade).
+// CrashPad is the recovery engine. It implements controller.AppRunner
+// and controller.BatchRunner; install it as the controller's Runner (or
+// via legosdn's core facade).
 type CrashPad struct {
 	opts    Options
 	everyN  *checkpoint.EveryN
 	tickets ticketLog
+
+	// window serializes transaction windows, from beginAtomic to commit
+	// or rollback. NetLog journals hooked FlowMods into one global active
+	// transaction (and the delay buffer holds one global batch), so two
+	// apps on the parallel pipeline must not have windows open at once:
+	// one app's FlowMods would land in the other's transaction. A
+	// batched delivery holds the window across the whole batch.
+	window sync.Mutex
 
 	mu        sync.Mutex
 	replays   map[string][]controller.Event // events since last checkpoint, per app
@@ -216,21 +225,31 @@ func invoke(app controller.App, ctx controller.Context, ev controller.Event) (ha
 		}
 	}()
 	handlerErr = app.HandleEvent(ctx, ev)
-	var ce *appvisor.CrashError
-	if errors.As(handlerErr, &ce) {
-		return nil, &failInfo{panicValue: ce.Report.PanicValue, stack: ce.Report.Stack}
-	}
-	if errors.Is(handlerErr, appvisor.ErrStubDown) {
-		return nil, &failInfo{panicValue: "stub down"}
+	if crash, _ = crashFrom(handlerErr); crash != nil {
+		return nil, crash
 	}
 	return handlerErr, nil
+}
+
+// crashFrom reads crash evidence out of a handler's error: an AppVisor
+// crash report (returned too, for the event it blames) or a down stub.
+// Any other error is the app's business, not a failure.
+func crashFrom(err error) (*failInfo, *appvisor.CrashReport) {
+	var ce *appvisor.CrashError
+	if errors.As(err, &ce) {
+		return &failInfo{panicValue: ce.Report.PanicValue, stack: ce.Report.Stack}, ce.Report
+	}
+	if errors.Is(err, appvisor.ErrStubDown) {
+		return &failInfo{panicValue: "stub down"}, nil
+	}
+	return nil, nil
 }
 
 // RunEvent implements controller.AppRunner: checkpoint, transact,
 // deliver, detect, recover.
 func (cp *CrashPad) RunEvent(app controller.App, ctx controller.Context, ev controller.Event) *controller.AppFailure {
 	name := app.Name()
-	cp.maybeCheckpoint(app, name, ev.Seq, ev.Trace)
+	cp.maybeCheckpoint(app, name, 1, ev.Seq, ev.Trace)
 	cp.noteHistory(name, ev)
 
 	tx := cp.beginAtomic(ev.Trace)
@@ -270,18 +289,161 @@ func (cp *CrashPad) RunEvent(app controller.App, ctx controller.Context, ev cont
 		return nil
 	}
 
-	// Fail-stop crash.
+	return cp.failStop(app, ctx, ev, crash, tx, true)
+}
+
+// failStop handles a fail-stop crash on ev: it closes the open
+// transaction tx (rolled back when it holds ev's own FlowMods, committed
+// when it belongs to an earlier event of a batch) and recovers.
+func (cp *CrashPad) failStop(app controller.App, ctx controller.Context, ev controller.Event,
+	crash *failInfo, tx *netlog.Txn, abort bool) *controller.AppFailure {
+
 	cp.CrashesSeen.Add(1)
 	tl := flightrec.NewTimeline(cp.opts.Clock)
 	cp.opts.Flight.Record(flightrec.Record{
 		Layer: flightrec.LayerCrashPad, Kind: flightrec.KindCrashDetected,
-		App: name, Trace: ev.Trace.TraceID, EvSeq: ev.Seq, DPID: ev.DPID,
+		App: app.Name(), Trace: ev.Trace.TraceID, EvSeq: ev.Seq, DPID: ev.DPID,
 		Note: "fail-stop: " + crash.panicValue,
 	})
 	tl.Enter(flightrec.PhaseRollback)
-	cp.rollbackAtomic(tx)
+	if abort {
+		cp.rollbackAtomic(tx)
+	} else {
+		cp.commitAtomic(tx)
+	}
 	tl.Enter(flightrec.PhaseIsolate)
 	return cp.recover(app, ctx, ev, FailStop, crash, nil, tl)
+}
+
+// RunEventBatch implements controller.BatchRunner. A BatchApp gets a
+// batch in one HandleEventBatch call, with at most one checkpoint before
+// it, and each event's FlowMods still in their own NetLog transaction
+// (see batchContext). A crash at evs[i] leaves evs[:i] committed and on
+// the replay suffix, recovers evs[i] exactly as RunEvent would, and then
+// delivers evs[i+1:] again. The restore point is the checkpoint before
+// the batch plus a replay of evs[:i], which rests on the same
+// determinism argument as the every-N cadence.
+//
+// The per-event path stays the only path for single events, apps
+// without HandleEventBatch, and pads whose checks are per event: an
+// invariant Checker runs after each event, and the delay buffer holds
+// one event's messages.
+func (cp *CrashPad) RunEventBatch(app controller.App, ctx controller.Context, evs []controller.Event) *controller.AppFailure {
+	ba, ok := app.(controller.BatchApp)
+	delayBuffered := cp.opts.NetLog == nil && cp.opts.DelayBuffer != nil // NetLog wins when both are set
+	if ok && cp.opts.Checker == nil && !delayBuffered {
+		for len(evs) > 1 {
+			i, failure := cp.runBatch(app, ba, ctx, evs)
+			if failure != nil || i == len(evs) {
+				return failure
+			}
+			evs = evs[i+1:]
+		}
+	}
+	for _, ev := range evs {
+		if failure := cp.RunEvent(app, ctx, ev); failure != nil {
+			return failure
+		}
+	}
+	return nil
+}
+
+// runBatch delivers evs (two or more) in one call. It returns len(evs)
+// when the whole batch completed, or the index of the event that
+// crashed once that crash is recovered; a non-nil failure means
+// recovery gave up and the app is to be quarantined.
+func (cp *CrashPad) runBatch(app controller.App, ba controller.BatchApp, ctx controller.Context, evs []controller.Event) (int, *controller.AppFailure) {
+	name := app.Name()
+	cp.maybeCheckpoint(app, name, len(evs), evs[0].Seq, evs[0].Trace)
+
+	bctx := &batchContext{Context: ctx, cp: cp, evs: evs, tx: cp.beginAtomic(evs[0].Trace)}
+	crash, blamed := invokeBatch(ba, bctx, evs)
+	i, tx := bctx.close()
+
+	if crash == nil {
+		cp.commitAtomic(tx)
+		cp.mu.Lock()
+		cp.replays[name] = append(cp.replays[name], evs...)
+		cp.noteHistoryLocked(name, evs...)
+		delete(cp.streaks, name)
+		cp.mu.Unlock()
+		return len(evs), nil
+	}
+	// The culprit is the event the crash report names, and never one
+	// before the last event that reached a Context call: a timeout
+	// cannot tell, but those events finished their calls.
+	open := i
+	if blamed > i {
+		i = blamed
+	}
+	cp.mu.Lock()
+	cp.replays[name] = append(cp.replays[name], evs[:i]...)
+	cp.noteHistoryLocked(name, evs[:i+1]...)
+	if i > 0 {
+		delete(cp.streaks, name)
+	}
+	cp.mu.Unlock()
+	return i, cp.failStop(app, ctx, evs[i], crash, tx, open == i)
+}
+
+// invokeBatch runs a batched handler inside the containment boundary.
+// blamed is the index of the event a crash report names, or -1.
+func invokeBatch(ba controller.BatchApp, ctx controller.Context, evs []controller.Event) (crash *failInfo, blamed int) {
+	blamed = -1
+	defer func() {
+		if r := recover(); r != nil {
+			crash = &failInfo{panicValue: fmt.Sprint(r), stack: string(stackTrace())}
+		}
+	}()
+	crash, report := crashFrom(ba.HandleEventBatch(ctx, evs))
+	if report != nil && report.HasEvent {
+		for j := range evs {
+			if evs[j].Seq == report.Event.Seq {
+				blamed = j
+				break
+			}
+		}
+	}
+	return crash, blamed
+}
+
+// batchContext is the Context of one batched delivery. It keeps one
+// NetLog transaction per event: BeginEvent(j) commits the open
+// transaction and opens evs[j]'s, so the transaction open when the app
+// crashes holds only the FlowMods of the event that made the last
+// Context call. Events that make no Context call open no transaction.
+// The pad's window is held for the whole batch; BeginEvent runs inside
+// it and does not take it.
+type batchContext struct {
+	controller.Context
+	cp  *CrashPad
+	evs []controller.Event
+
+	mu     sync.Mutex
+	cur    int         // the event whose transaction is open
+	tx     *netlog.Txn // nil without NetLog
+	closed bool        // the delivery returned; late boundaries are ignored
+}
+
+// BeginEvent implements controller.EventBoundary.
+func (b *batchContext) BeginEvent(i int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed || i <= b.cur || i >= len(b.evs) {
+		return
+	}
+	b.cp.endTxn(b.tx, true)
+	b.cur = i
+	b.tx = b.cp.openTxn(b.evs[i].Trace)
+}
+
+// close ends the delivery and hands back the open transaction and the
+// event it belongs to, for the caller to settle.
+func (b *batchContext) close() (int, *netlog.Txn) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	return b.cur, b.tx
 }
 
 // recover drives the §3.3 recovery loop for one failure. tl is the
@@ -587,14 +749,15 @@ func (cp *CrashPad) restoreApp(app controller.App, ctx controller.Context, name 
 	return nil
 }
 
-// maybeCheckpoint snapshots the app per the every-N cadence. sc is the
-// trace context of the event that triggered the cadence check.
-func (cp *CrashPad) maybeCheckpoint(app controller.App, name string, seq uint64, sc trace.SpanContext) {
+// maybeCheckpoint advances the every-N cadence over the next k events
+// and takes one snapshot before them if any is due. seq and sc are the
+// sequence number and trace context of the first of them.
+func (cp *CrashPad) maybeCheckpoint(app controller.App, name string, k int, seq uint64, sc trace.SpanContext) {
 	snap, ok := app.(controller.Snapshotter)
 	if !ok {
 		return
 	}
-	if !cp.everyN.ShouldCheckpoint(name) {
+	if !cp.everyN.Advance(name, k) {
 		return
 	}
 	if sp := cp.opts.Flight.StartSpan(sc, "crashpad.checkpoint"); sp != nil {
@@ -688,7 +851,38 @@ func (cp *CrashPad) rebaseline(app controller.App, name string, seq uint64) {
 
 // --- atomic-update plumbing: NetLog or the delay-buffer prototype ---
 
+// atomic reports whether the pad has atomic-update machinery, and so a
+// transaction window to serialize.
+func (cp *CrashPad) atomic() bool {
+	return cp.opts.NetLog != nil || cp.opts.DelayBuffer != nil
+}
+
+// beginAtomic opens the pad's transaction window and a transaction in
+// it; commitAtomic or rollbackAtomic closes both.
 func (cp *CrashPad) beginAtomic(sc trace.SpanContext) *netlog.Txn {
+	if !cp.atomic() {
+		return nil
+	}
+	cp.window.Lock()
+	return cp.openTxn(sc)
+}
+
+func (cp *CrashPad) commitAtomic(tx *netlog.Txn) {
+	if cp.atomic() {
+		cp.endTxn(tx, true)
+		cp.window.Unlock()
+	}
+}
+
+func (cp *CrashPad) rollbackAtomic(tx *netlog.Txn) {
+	if cp.atomic() {
+		cp.endTxn(tx, false)
+		cp.window.Unlock()
+	}
+}
+
+// openTxn starts a transaction inside the held window.
+func (cp *CrashPad) openTxn(sc trace.SpanContext) *netlog.Txn {
 	if cp.opts.NetLog != nil {
 		tx := cp.opts.NetLog.BeginTraced(sc)
 		cp.opts.NetLog.SetActive(tx)
@@ -700,24 +894,18 @@ func (cp *CrashPad) beginAtomic(sc trace.SpanContext) *netlog.Txn {
 	return nil
 }
 
-func (cp *CrashPad) commitAtomic(tx *netlog.Txn) {
-	if tx != nil {
+// endTxn commits or rolls back a transaction, leaving the window held.
+func (cp *CrashPad) endTxn(tx *netlog.Txn, commit bool) {
+	switch {
+	case tx != nil && commit:
 		cp.opts.NetLog.SetActive(nil)
 		_ = tx.Commit()
-		return
-	}
-	if cp.opts.DelayBuffer != nil {
-		_ = cp.opts.DelayBuffer.Flush()
-	}
-}
-
-func (cp *CrashPad) rollbackAtomic(tx *netlog.Txn) {
-	if tx != nil {
+	case tx != nil:
 		cp.opts.NetLog.SetActive(nil)
 		_ = tx.Abort()
-		return
-	}
-	if cp.opts.DelayBuffer != nil {
+	case cp.opts.DelayBuffer != nil && commit:
+		_ = cp.opts.DelayBuffer.Flush()
+	case cp.opts.DelayBuffer != nil:
 		cp.opts.DelayBuffer.Discard()
 	}
 }

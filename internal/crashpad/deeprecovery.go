@@ -33,7 +33,12 @@ const defaultHistoryLimit = 512
 func (cp *CrashPad) noteHistory(name string, ev controller.Event) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	h := append(cp.histories[name], ev)
+	cp.noteHistoryLocked(name, ev)
+}
+
+// noteHistoryLocked appends evs to the bounded history; cp.mu is held.
+func (cp *CrashPad) noteHistoryLocked(name string, evs ...controller.Event) {
+	h := append(cp.histories[name], evs...)
 	if len(h) > defaultHistoryLimit {
 		h = h[len(h)-defaultHistoryLimit:]
 	}
